@@ -2,15 +2,13 @@
 //! baselines on the same simulated fabric and reports the paper's
 //! *algorithm bandwidth* metric (tensor bytes / completion seconds).
 
-use std::cell::RefCell;
+use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use adapcc::executor::{ExecutionRequest, Executor};
-use adapcc_plancache::{
-    fingerprint, CachedPlan, Fingerprint, FingerprintInputs, Lookup, PlanCache, PlanCacheStats,
-};
-use adapcc_planserve::{PlanService, ServiceStats};
+use adapcc_plancache::{fingerprint, Fingerprint, FingerprintInputs};
+use adapcc_planserve::{synthesize, PlanService, PlanStats, ServiceConfig, ServiceStats};
 use adapcc_profile::profiler::LinkProfile;
 use adapcc_simnet::cluster::{Cluster, Rank};
 use adapcc_simnet::time::{SimDuration, SimTime};
@@ -86,12 +84,11 @@ pub struct Runner<'a> {
     pub hierarchical: adapcc_synth::Hierarchical,
     factors: Vec<(adapcc_simnet::cluster::LinkId, f64)>,
     telemetry: adapcc_telemetry::Telemetry,
-    /// Optional fingerprinted strategy store consulted before the
-    /// AdapCC synthesizer (baselines are closed-form and never cached).
-    plan_cache: Option<RefCell<PlanCache>>,
-    /// Optional shared cross-job plan service; takes precedence over
-    /// the private `plan_cache` so concurrent runners share solves.
-    plan_service: Option<Arc<PlanService>>,
+    /// The plan service every AdapCC synthesis resolves through
+    /// (baselines are closed-form and never stored).
+    plan_service: Arc<PlanService>,
+    /// How this runner's AdapCC requests were served.
+    plan_stats: Cell<PlanStats>,
 }
 
 impl<'a> Runner<'a> {
@@ -108,8 +105,13 @@ impl<'a> Runner<'a> {
             hierarchical: adapcc_synth::Hierarchical::Auto,
             factors: Vec::new(),
             telemetry: adapcc_telemetry::Telemetry::disabled(),
-            plan_cache: None,
-            plan_service: None,
+            // A runner given no service stores nothing: every AdapCC
+            // strategy is solved cold, as a bare synthesizer would.
+            plan_service: Arc::new(PlanService::new(ServiceConfig {
+                byte_budget: 0,
+                ..ServiceConfig::one_shard()
+            })),
+            plan_stats: Cell::new(PlanStats::default()),
         }
     }
 
@@ -156,40 +158,25 @@ impl<'a> Runner<'a> {
         self
     }
 
-    /// Attaches a plan cache consulted before every AdapCC synthesis.
-    /// Exact fingerprint hits skip the solver; shape-only matches
-    /// warm-start it. Baseline systems never touch the cache.
-    pub fn with_plan_cache(mut self, cache: PlanCache) -> Self {
-        self.plan_cache = Some(RefCell::new(cache));
-        self
-    }
-
-    /// Attaches a shared cross-job plan service consulted before every
-    /// AdapCC synthesis — and before the private plan cache, so
-    /// concurrent runners (jobs) sharing one service share every solve
-    /// through its single-flight admission. Baseline systems never
-    /// touch the service.
+    /// Resolves every AdapCC synthesis through `service`: exact
+    /// fingerprint hits skip the solver, shape-only matches warm-start
+    /// it, and runners (jobs) sharing one service share every solve
+    /// through its single-flight admission. A one-shard service built
+    /// with `PlanService::with_disk_tier` is a persistent private
+    /// cache. Baseline systems never touch the service.
     pub fn with_plan_service(mut self, service: Arc<PlanService>) -> Self {
-        self.plan_service = Some(service);
+        self.plan_service = service;
         self
     }
 
-    /// The shared service's effectiveness counters, if one is attached.
-    pub fn plan_service_stats(&self) -> Option<ServiceStats> {
-        self.plan_service.as_ref().map(|s| s.stats())
+    /// The plan service's effectiveness counters.
+    pub fn plan_service_stats(&self) -> ServiceStats {
+        self.plan_service.stats()
     }
 
-    /// Cache effectiveness counters, if a cache is attached.
-    pub fn plan_cache_stats(&self) -> Option<PlanCacheStats> {
-        self.plan_cache.as_ref().map(|c| c.borrow().stats())
-    }
-
-    /// Publishes `plancache.*` counters to the attached telemetry sink
-    /// (no-op without a cache).
-    pub fn export_plan_cache_counters(&self) {
-        if let Some(cache) = &self.plan_cache {
-            cache.borrow().export_counters(&self.telemetry);
-        }
+    /// How this runner's AdapCC synthesis requests were served.
+    pub fn plan_cache_stats(&self) -> PlanStats {
+        self.plan_stats.get()
     }
 
     /// Synthesizes/builds the system's strategy for one primitive over
@@ -219,12 +206,12 @@ impl<'a> Runner<'a> {
         }
     }
 
-    /// AdapCC synthesis through the optional plan cache: exact hit →
-    /// cached strategy, shape-only match → warm-started solve, miss →
-    /// cold solve. Saved modeled solver latency accrues to the cache's
-    /// counters; the timeline span in [`Runner::run`] stays the full
-    /// modeled cost either way so traces are byte-identical warm or
-    /// cold.
+    /// AdapCC synthesis through the plan service: exact hit → stored
+    /// strategy (validated against this runner's topology), shape-only
+    /// match → warm-started solve, miss → cold solve. Saved modeled
+    /// solver latency accrues to [`Runner::plan_cache_stats`]; the
+    /// timeline span in [`Runner::run`] stays the full modeled cost
+    /// either way so traces are byte-identical warm or cold.
     fn adapcc_strategy(
         &self,
         req: &SynthRequest,
@@ -232,70 +219,34 @@ impl<'a> Runner<'a> {
         tensor: ByteSize,
         participants: &[Rank],
     ) -> Strategy {
-        let synth = || {
-            Synthesizer::new(self.topo, self.profile)
-                .with_config(SynthConfig {
-                    anneal_iters: 120,
-                    anneal_chains: self.solver_chains,
-                    solver_threads: self.solver_threads,
-                    hierarchical: self.hierarchical,
-                    ..Default::default()
-                })
-                .with_telemetry(self.telemetry.clone())
-        };
-        if self.plan_cache.is_none() && self.plan_service.is_none() {
-            return synth().synthesize(req);
-        }
+        let synth = Synthesizer::new(self.topo, self.profile)
+            .with_config(SynthConfig {
+                anneal_iters: 120,
+                anneal_chains: self.solver_chains,
+                solver_threads: self.solver_threads,
+                hierarchical: self.hierarchical,
+                ..Default::default()
+            })
+            .with_telemetry(self.telemetry.clone());
         let fp = self.plan_fingerprint(req, primitive, tensor, participants);
-        if let Some(service) = &self.plan_service {
-            let resolved = service.resolve(fp, |seed| {
-                if let Some(prev) = seed {
-                    if let Some((strategy, seed)) = synth().synthesize_warm(req, &prev.seed) {
-                        return (CachedPlan { strategy, seed }, true);
-                    }
-                }
-                let (strategy, seed) = synth().synthesize_with_seed(req);
-                (CachedPlan { strategy, seed }, false)
-            });
-            service.export_counters(&self.telemetry);
-            return resolved.plan.strategy.clone();
-        }
-        let cache = self.plan_cache.as_ref().expect("checked above");
-        let full = adapcc::reconstruct::modeled_solve_cost(participants.len());
-        let warm = adapcc::reconstruct::modeled_warm_solve_cost(participants.len());
-        let mut cache = cache.borrow_mut();
-        match cache.lookup(&fp) {
-            Lookup::Hit(plan) if plan.strategy.validate(self.topo).is_ok() => {
-                cache.note_saved(full);
-                return plan.strategy;
-            }
-            Lookup::Warm(plan) => {
-                if let Some((strategy, seed)) = synth().synthesize_warm(req, &plan.seed) {
-                    cache.note_saved(adapcc_simnet::time::SimDuration::from_secs(
-                        full.as_secs() - warm.as_secs(),
-                    ));
-                    cache.insert(
-                        fp,
-                        CachedPlan {
-                            strategy: strategy.clone(),
-                            seed,
-                        },
-                    );
-                    return strategy;
-                }
-                cache.warm_fell_back();
-            }
-            _ => {}
-        }
-        let (strategy, seed) = synth().synthesize_with_seed(req);
-        cache.insert(
+        let service = &self.plan_service;
+        let resolved = service.resolve(fp, |seed| synthesize(&synth, req, seed));
+        let resolved = service.revalidate(
             fp,
-            CachedPlan {
-                strategy: strategy.clone(),
-                seed,
-            },
+            resolved,
+            |plan| plan.strategy.validate(self.topo).is_ok(),
+            || synthesize(&synth, req, None).0,
         );
-        strategy
+        let mut stats = self.plan_stats.get();
+        stats.record(
+            resolved.served,
+            adapcc::reconstruct::modeled_solve_cost(participants.len()),
+            adapcc::reconstruct::modeled_warm_solve_cost(participants.len()),
+        );
+        self.plan_stats.set(stats);
+        stats.export_counters(&self.telemetry, service);
+        service.export_counters(&self.telemetry);
+        resolved.plan.strategy.clone()
     }
 
     /// The canonical cache/service key of one AdapCC synthesis. The
@@ -540,7 +491,7 @@ mod tests {
         let cold = Runner::new(&c, &topo, &profile);
         let want = cold.strategy(System::AdapCc, Primitive::AllReduce, tensor, &ranks);
         let cached = Runner::new(&c, &topo, &profile)
-            .with_plan_cache(adapcc_plancache::PlanCache::new(Default::default()));
+            .with_plan_service(Arc::new(PlanService::new(ServiceConfig::one_shard())));
         let first = cached.strategy(System::AdapCc, Primitive::AllReduce, tensor, &ranks);
         let second = cached.strategy(System::AdapCc, Primitive::AllReduce, tensor, &ranks);
         assert_eq!(first, want, "cold solve through the cache is unchanged");
@@ -548,9 +499,12 @@ mod tests {
             second, want,
             "exact hit serves the stored strategy verbatim"
         );
-        let stats = cached.plan_cache_stats().unwrap();
+        let stats = cached.plan_cache_stats();
         assert_eq!((stats.hits, stats.misses), (1, 1), "{stats:?}");
         assert!(stats.saved.as_secs() > 0.0);
+        // The default service stores nothing: every request solves cold.
+        assert_eq!(cold.plan_cache_stats().misses, 1);
+        assert_eq!(cold.plan_service_stats().entries, 0);
     }
 
     #[test]

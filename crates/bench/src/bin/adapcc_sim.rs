@@ -17,6 +17,7 @@ use adapcc_bench::engine_bench::engine_storm;
 use adapcc_bench::harness::profiled_with_telemetry;
 use adapcc_bench::record::BenchRecord;
 use adapcc_bench::service_bench::{run_service_bench, ServiceWorkload};
+use adapcc_planserve::{PlanService, ServiceConfig};
 use adapcc_simnet::cluster::Rank;
 use adapcc_simnet::time::SimDuration;
 use adapcc_simnet::units::ByteSize;
@@ -83,9 +84,9 @@ fn main() {
         .with_hierarchical(hierarchical)
         .with_telemetry(telemetry.at_offset(control_secs));
     runner.seed = args.seed;
-    if let Some(dir) = &args.plan_cache {
-        runner = runner.with_plan_cache(adapcc_plancache::PlanCache::new(
-            adapcc_plancache::PlanCacheConfig::on_disk(dir),
+    if let Some(dir) = &args.plan_cache_dir {
+        runner = runner.with_plan_service(std::sync::Arc::new(
+            PlanService::new(ServiceConfig::one_shard()).with_disk_tier(dir),
         ));
     }
     let ranks: Vec<Rank> = (0..cluster.gpu_count()).map(Rank).collect();
@@ -110,18 +111,17 @@ fn main() {
         report.algo_bw_gbytes,
         sim_wall_ms
     );
-    // Counters must land in the sink before the metrics summary below
-    // renders; the trace itself carries no cache-dependent spans, so it
-    // stays byte-identical warm or cold.
-    runner.export_plan_cache_counters();
+    // The runner exports its `plancache.*` counters on every resolve;
+    // the trace itself carries no cache-dependent spans, so it stays
+    // byte-identical warm or cold.
     let cache_stats = runner.plan_cache_stats();
-    if let Some(stats) = cache_stats {
+    if args.plan_cache_dir.is_some() {
         println!(
             "plan cache: {} hit(s), {} warm start(s), {} miss(es), {:.2}s modeled solve time saved",
-            stats.hits,
-            stats.warm_starts,
-            stats.misses,
-            stats.saved.as_secs()
+            cache_stats.hits,
+            cache_stats.warm_starts,
+            cache_stats.misses,
+            cache_stats.saved.as_secs()
         );
     }
     if let Some(path) = &args.trace_out {
@@ -178,9 +178,9 @@ fn main() {
             parallelism: args.parallelism,
             comm_time_ms: report.comm_time.as_millis(),
             algo_bw_gbytes: report.algo_bw_gbytes,
-            plan_cache_hits: cache_stats.map_or(0, |s| s.hits),
-            plan_cache_misses: cache_stats.map_or(0, |s| s.misses),
-            plan_cache_warm_starts: cache_stats.map_or(0, |s| s.warm_starts),
+            plan_cache_hits: cache_stats.hits,
+            plan_cache_misses: cache_stats.misses,
+            plan_cache_warm_starts: cache_stats.warm_starts,
             solver_wall_ms,
             synth_full_evals: full_evals,
             synth_delta_evals: delta_evals,

@@ -33,7 +33,7 @@ pub struct SimArgs {
     /// (default: automatic at 64+ GPUs).
     pub hierarchical: bool,
     /// Persistent plan-cache directory for AdapCC strategy synthesis.
-    pub plan_cache: Option<String>,
+    pub plan_cache_dir: Option<String>,
     /// Print the synthesized strategy.
     pub describe: bool,
     /// Write a Chrome-trace JSON timeline of the run here.
@@ -68,7 +68,7 @@ impl Default for SimArgs {
             solver_chains: 1,
             solver_threads: 1,
             hierarchical: false,
-            plan_cache: None,
+            plan_cache_dir: None,
             describe: false,
             trace_out: None,
             metrics_out: None,
@@ -686,7 +686,7 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<SimArgs, St
             "--trace-out" => out.trace_out = Some(value("--trace-out")?),
             "--metrics-out" => out.metrics_out = Some(value("--metrics-out")?),
             "--bench-append" => out.bench_append = Some(value("--bench-append")?),
-            "--plan-cache" => out.plan_cache = Some(value("--plan-cache")?),
+            "--plan-cache" => out.plan_cache_dir = Some(value("--plan-cache")?),
             "--seed" => {
                 out.seed = value("--seed")?
                     .parse()
@@ -887,7 +887,7 @@ mod tests {
     fn seed_and_plan_cache_flags() {
         let a = parse(&["--seed", "42", "--plan-cache", "/tmp/plans"]).unwrap();
         assert_eq!(a.seed, 42);
-        assert_eq!(a.plan_cache.as_deref(), Some("/tmp/plans"));
+        assert_eq!(a.plan_cache_dir.as_deref(), Some("/tmp/plans"));
         assert_eq!(
             SimArgs::default().seed,
             1,

@@ -3,7 +3,7 @@
 //! DESIGN.md ablations.
 
 use adapcc::{nccl_restart_cost, AdapCC, InitOptions};
-use adapcc_plancache::{PlanCacheConfig, PlanCacheStats};
+use adapcc_planserve::{PlanService, PlanStats, ServiceConfig};
 use adapcc_simnet::cluster::{Cluster, InstanceId, Rank};
 use adapcc_simnet::units::ByteSize;
 use adapcc_synth::cost::CostModel;
@@ -64,8 +64,12 @@ pub fn fig19c() -> Vec<String> {
     let tensor = DnnModel::Vgg16.tensor_size();
     for servers in [2usize, 4, 6, 8, 12] {
         let cluster = Cluster::homogeneous_a100(servers);
-        let (cold, _) = fig19c_reconstruct(&cluster, tensor, PlanCacheConfig::disabled());
-        let (warm, stats) = fig19c_reconstruct(&cluster, tensor, PlanCacheConfig::default());
+        let cold_baseline = ServiceConfig {
+            byte_budget: 0,
+            ..ServiceConfig::one_shard()
+        };
+        let (cold, _) = fig19c_reconstruct(&cluster, tensor, cold_baseline);
+        let (warm, stats) = fig19c_reconstruct(&cluster, tensor, ServiceConfig::one_shard());
         assert!(
             stats.warm_starts > 0,
             "a drifted profile over an unchanged fleet should warm-start"
@@ -95,12 +99,13 @@ pub fn fig19c() -> Vec<String> {
 }
 
 /// One Fig. 19(c) data point: synthesize, degrade a NIC, re-profile,
-/// and return the reconstruction report plus cache counters.
+/// and return the reconstruction report plus cache counters. `plans`
+/// configures the session's private plan service.
 fn fig19c_reconstruct(
     cluster: &Cluster,
     tensor: ByteSize,
-    plan_cache: PlanCacheConfig,
-) -> (adapcc::reconstruct::ReconstructReport, PlanCacheStats) {
+    plans: ServiceConfig,
+) -> (adapcc::reconstruct::ReconstructReport, PlanStats) {
     let mut cc = AdapCC::init(
         cluster,
         InitOptions {
@@ -108,7 +113,7 @@ fn fig19c_reconstruct(
                 anneal_iters: 120,
                 ..Default::default()
             },
-            plan_cache,
+            plan_service: Some(std::sync::Arc::new(PlanService::new(plans))),
             ..Default::default()
         },
     );

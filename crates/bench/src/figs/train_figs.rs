@@ -4,7 +4,7 @@
 
 use adapcc::{AdapCC, InitOptions};
 use adapcc_baselines::runner::{Runner, System};
-use adapcc_plancache::{PlanCacheConfig, PlanCacheStats};
+use adapcc_planserve::{PlanService, PlanStats, ServiceConfig};
 use adapcc_simnet::cluster::{Cluster, ClusterBuilder, InstanceId, LinkId, Rank};
 use adapcc_simnet::hardware::InstanceSpec;
 use adapcc_simnet::time::SimTime;
@@ -175,6 +175,10 @@ pub fn fig18a() -> Vec<String> {
         "amplification x",
         &["AdapCC (s)", "NCCL (s)", "reduction %"],
     ));
+    let cold_baseline = ServiceConfig {
+        byte_budget: 0,
+        ..ServiceConfig::one_shard()
+    };
     let mut warm_at_max = None;
     for x in [0.0, 0.2, 0.4, 0.6] {
         let adapcc = volatile_makespan(
@@ -182,15 +186,9 @@ pub fn fig18a() -> Vec<String> {
             x,
             total_iters,
             profile_period,
-            PlanCacheConfig::default(),
+            ServiceConfig::one_shard(),
         );
-        let nccl = volatile_makespan(
-            false,
-            x,
-            total_iters,
-            profile_period,
-            PlanCacheConfig::disabled(),
-        );
+        let nccl = volatile_makespan(false, x, total_iters, profile_period, cold_baseline);
         out.push(row(
             &format!("x = {x:.1}"),
             &[
@@ -204,13 +202,7 @@ pub fn fig18a() -> Vec<String> {
     // Reconstruction-cost breakdown at the highest volatility: the same
     // trace replayed without the plan cache pays the cold solver on
     // every drift, with it the shape-stable fleet warm-starts instead.
-    let cold = volatile_makespan(
-        true,
-        0.6,
-        total_iters,
-        profile_period,
-        PlanCacheConfig::disabled(),
-    );
+    let cold = volatile_makespan(true, 0.6, total_iters, profile_period, cold_baseline);
     let warm = warm_at_max.expect("loop ran");
     let stats = warm.cache.unwrap_or_default();
     out.push(format!(
@@ -232,19 +224,20 @@ pub fn fig18a() -> Vec<String> {
 struct VolatileRun {
     makespan: f64,
     recon_secs: f64,
-    cache: Option<PlanCacheStats>,
+    cache: Option<PlanStats>,
 }
 
 /// Stepwise makespan estimation: the trace advances in windows; each
 /// window's per-iteration time is measured once and multiplied by the
 /// iterations that fit. AdapCC re-profiles every `profile_period`
-/// iterations (cost charged) and re-synthesizes when links changed.
+/// iterations (cost charged) and re-synthesizes when links changed;
+/// `plans` configures the adaptive session's private plan service.
 fn volatile_makespan(
     adaptive: bool,
     x: f64,
     total_iters: usize,
     profile_period: usize,
-    plan_cache: PlanCacheConfig,
+    plans: ServiceConfig,
 ) -> VolatileRun {
     let cluster = Cluster::homogeneous_a100(4);
     let model = DnnModel::Vgg16;
@@ -260,7 +253,7 @@ fn volatile_makespan(
         let mut cc = AdapCC::init(
             &cluster,
             InitOptions {
-                plan_cache,
+                plan_service: Some(std::sync::Arc::new(PlanService::new(plans))),
                 ..Default::default()
             },
         );

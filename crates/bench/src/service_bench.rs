@@ -1,7 +1,7 @@
 //! Many-job plan-service benchmark: M concurrent jobs on K threads
 //! resolving synthesis requests against one shared
-//! [`PlanService`], versus the same workload on private per-session
-//! plan caches.
+//! [`PlanService`], versus the same workload on each session's own
+//! one-shard plan service.
 //!
 //! The synthetic workload models a multi-tenant cluster: jobs cycle
 //! through a mixed fleet of server shapes, each job issues one
@@ -168,7 +168,7 @@ fn session_options(seed: u64, service: Option<Arc<PlanService>>) -> InitOptions 
 }
 
 /// Runs the workload once. `service` = `None` is the baseline: every
-/// session keeps its private in-memory plan cache and no solve is ever
+/// session resolves through its own one-shard service and no solve is ever
 /// shared across jobs.
 fn run_mode(w: &ServiceWorkload, service: Option<&Arc<PlanService>>) -> ModeReport {
     let shapes: Vec<Cluster> = (0..w.shapes.max(1)).map(shape_cluster).collect();
@@ -180,7 +180,7 @@ fn run_mode(w: &ServiceWorkload, service: Option<&Arc<PlanService>>) -> ModeRepo
     let herd_tensor = ByteSize::from_mib(2);
     let latencies = Mutex::new(Vec::new());
     let walls = Mutex::new(Vec::new());
-    let cache_stats = Mutex::new(adapcc_plancache::PlanCacheStats::default());
+    let cache_stats = Mutex::new(adapcc_planserve::PlanStats::default());
     std::thread::scope(|scope| {
         for t in 0..threads {
             let barrier = &barrier;

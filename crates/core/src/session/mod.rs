@@ -19,7 +19,7 @@
 //! Module layout:
 //!
 //! - [`lifecycle`](self) — init, setup, fault arming, accessors
-//! - `planning` — lazy synthesis, the plan cache, buy estimates
+//! - `planning` — lazy synthesis through the plan service, buy estimates
 //! - `recovery` — the retry / exclusion loop and its policy
 //! - `health` — the membership state machine (rejoin probing,
 //!   probation, flap quarantine)
@@ -37,8 +37,9 @@ mod scaling;
 mod tests;
 
 use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
 
-use adapcc_plancache::{PlanCache, PlanCacheConfig};
+use adapcc_planserve::{PlanService, PlanStats, ServiceConfig};
 use adapcc_profile::profiler::{LinkProfile, Profiler};
 use adapcc_simnet::cluster::{Cluster, LinkId, Rank};
 use adapcc_simnet::faults::FaultSchedule;
@@ -76,22 +77,20 @@ pub struct InitOptions {
     pub resynth_threshold: f64,
     /// Synthesizer effort.
     pub synth: SynthConfig,
-    /// Plan-cache behavior: exact fingerprint hits skip the solver,
-    /// near misses warm-start it. Enabled (memory-only) by default;
-    /// see [`PlanCacheConfig::disabled`] for the cold baseline and
-    /// [`PlanCacheConfig::on_disk`] for a persistent tier.
-    pub plan_cache: PlanCacheConfig,
     /// Telemetry sink threaded through every pipeline phase (detect,
     /// profile, synthesize, execute, relay). Disabled by default; an
     /// enabled sink records phase spans on one stitched timeline plus
     /// per-link flow records from the executor.
     pub telemetry: adapcc_telemetry::Telemetry,
-    /// Shared cross-job plan service. When set, synthesis requests
-    /// resolve through the service's sharded store with single-flight
-    /// admission instead of the private [`plan_cache`](Self::plan_cache)
-    /// tier, so concurrent sessions (jobs) share every solve. `None`
-    /// (the default) keeps the per-session cache behavior.
-    pub plan_service: Option<std::sync::Arc<adapcc_planserve::PlanService>>,
+    /// The plan service every synthesis request resolves through:
+    /// exact fingerprint hits skip the solver, shape siblings
+    /// warm-start it, and cold keys solve once under single-flight
+    /// admission. Share one `Arc` across sessions (jobs) to share every
+    /// solve; give a service built with `PlanService::with_disk_tier`
+    /// for a persistent tier, or one with a `byte_budget` of `0` for
+    /// the cold baseline. `None` (the default) builds a private
+    /// [`ServiceConfig::one_shard`] service for this session.
+    pub plan_service: Option<Arc<PlanService>>,
 }
 
 impl Default for InitOptions {
@@ -102,7 +101,6 @@ impl Default for InitOptions {
             relay: RelayConfig::default(),
             resynth_threshold: 0.15,
             synth: SynthConfig::default(),
-            plan_cache: PlanCacheConfig::default(),
             telemetry: adapcc_telemetry::Telemetry::disabled(),
             plan_service: None,
         }
@@ -123,27 +121,6 @@ impl InitReport {
     /// Total initialization time.
     pub fn total(&self) -> SimDuration {
         self.detection + self.profiling
-    }
-}
-
-/// Running totals of how synthesis requests were satisfied.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub(crate) struct SynthTally {
-    /// Cold solves (full candidate generation + anneal).
-    pub(crate) cold: u64,
-    /// Warm starts (cached seed + chunk sweep + polish anneal).
-    pub(crate) warm: u64,
-    /// Exact cache hits (solver skipped).
-    pub(crate) hit: u64,
-}
-
-impl SynthTally {
-    pub(crate) fn since(&self, before: SynthTally) -> SynthTally {
-        SynthTally {
-            cold: self.cold - before.cold,
-            warm: self.warm - before.warm,
-            hit: self.hit - before.hit,
-        }
     }
 }
 
@@ -177,16 +154,15 @@ pub struct AdapCC<'c> {
     /// Per-worker-set strategy memo, cleared on every worker-set or
     /// profile change; keyed by the canonical [`StrategyKey`].
     pub(crate) strategies: HashMap<StrategyKey, Strategy>,
-    /// Fingerprinted cross-reconstruction plan store. Unlike
-    /// `strategies` (a per-worker-set memo cleared on every change),
-    /// the cache is keyed by content and survives `set_workers`,
-    /// reprofiles and exclusions — returning to a previously-seen
-    /// state hits.
-    pub(crate) plan_cache: PlanCache,
-    /// How the solver was engaged since session start (cold solves,
-    /// warm starts, exact hits); reconstruction paths diff it around
-    /// their re-synthesis loops to charge the matching modeled cost.
-    pub(crate) synth_tally: SynthTally,
+    /// The fingerprinted plan store behind `strategies`. Unlike the
+    /// memo (cleared on every worker-set change), it is keyed by
+    /// content and survives `set_workers`, reprofiles and exclusions —
+    /// returning to a previously-seen state hits.
+    pub(crate) plan_service: Arc<PlanService>,
+    /// How this session's requests were served since session start;
+    /// reconstruction paths diff it around their re-synthesis loops to
+    /// charge the matching modeled cost.
+    pub(crate) plan_stats: PlanStats,
     /// Ski-rental buy estimates keyed by (primitive, tensor bytes,
     /// scope group id — `0` for the world scope).
     pub(crate) estimates: HashMap<(adapcc_synth::primitive::Primitive, u64, u64), BuyEstimate>,
@@ -239,7 +215,10 @@ impl<'c> AdapCC<'c> {
             profiling: prof.elapsed,
         };
         let workers = (0..cluster.gpu_count()).map(Rank).collect();
-        let plan_cache = PlanCache::new(options.plan_cache.clone());
+        let plan_service = options
+            .plan_service
+            .clone()
+            .unwrap_or_else(|| Arc::new(PlanService::new(ServiceConfig::one_shard())));
         AdapCC {
             cluster,
             coordinator: Coordinator::new(options.seed)
@@ -252,8 +231,8 @@ impl<'c> AdapCC<'c> {
             init_report,
             communicator: Communicator::new(),
             strategies: HashMap::new(),
-            plan_cache,
-            synth_tally: SynthTally::default(),
+            plan_service,
+            plan_stats: PlanStats::default(),
             estimates: HashMap::new(),
             exec_cache: HashMap::new(),
             workers,

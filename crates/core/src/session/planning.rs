@@ -1,10 +1,10 @@
-//! Lazy strategy synthesis through the plan cache, zero-skew execution
-//! caching, ski-rental buy estimates, and raw executor access.
+//! Lazy strategy synthesis through the plan service, zero-skew
+//! execution caching, ski-rental buy estimates, and raw executor access.
 
-use adapcc_plancache::{
-    fingerprint, CachedPlan, Fingerprint, FingerprintInputs, Lookup, PlanCacheStats,
-};
-use adapcc_planserve::{PlanService, Served};
+use std::sync::Arc;
+
+use adapcc_plancache::{fingerprint, Fingerprint, FingerprintInputs};
+use adapcc_planserve::{synthesize, PlanService, PlanStats};
 use adapcc_simnet::cluster::Rank;
 use adapcc_simnet::time::SimDuration;
 use adapcc_simnet::units::ByteSize;
@@ -16,7 +16,7 @@ use crate::collective::plan::StrategyKey;
 use crate::error::AdapCCError;
 use crate::executor::{BatchReport, ExecutionRequest, Executor};
 use crate::relay::BuyEstimate;
-use crate::session::{AdapCC, SynthTally};
+use crate::session::AdapCC;
 
 impl<'c> AdapCC<'c> {
     /// The synthesized strategy for a primitive/tensor pair (cached).
@@ -50,7 +50,7 @@ impl<'c> AdapCC<'c> {
     }
 
     /// The synthesized strategy behind one canonical key (memoized per
-    /// worker set; misses go through the plan cache). Scoped keys
+    /// worker set; misses resolve through the plan service). Scoped keys
     /// register their group in the session registry, so exclusion can
     /// invalidate exactly the groups containing a dead rank — even for
     /// scopes built ad hoc (pairwise stages) rather than via
@@ -60,18 +60,20 @@ impl<'c> AdapCC<'c> {
             self.groups.insert(g.id(), g.clone());
         }
         if !self.strategies.contains_key(key) {
-            let strategy = self.synthesize_through_cache(key);
+            let strategy = self.resolve_strategy(key);
             self.strategies.insert(key.clone(), strategy);
         }
         &self.strategies[key]
     }
 
-    /// Satisfies one synthesis request through the plan cache: exact
-    /// fingerprint hits return the stored strategy without touching the
-    /// solver, near misses warm-start it from the stored seed, and
-    /// misses (or seeds the solver rejects) solve cold and populate the
-    /// cache.
-    fn synthesize_through_cache(&mut self, key: &StrategyKey) -> Strategy {
+    /// Satisfies one synthesis request through the plan service: exact
+    /// fingerprint hits and coalesced in-flight solves skip the solver,
+    /// shape siblings warm-start it, and cold keys solve once under
+    /// single-flight admission. A plan this session did not solve is
+    /// validated against the topology first (a hand-edited disk entry
+    /// must not execute); one that fails is re-solved cold. Every
+    /// outcome is billed once in [`AdapCC::plan_cache_stats`].
+    fn resolve_strategy(&mut self, key: &StrategyKey) -> Strategy {
         let participants = key
             .scope
             .as_ref()
@@ -86,125 +88,27 @@ impl<'c> AdapCC<'c> {
         req.root = key.root;
         req.seed = self.options.seed;
         let fp = self.plan_fingerprint(&req, self.concurrency_component(key.scope.as_ref()));
-        if let Some(service) = self.options.plan_service.clone() {
-            return self.synthesize_through_service(&service, &req, fp);
-        }
-        let full = crate::reconstruct::modeled_solve_cost(self.workers.len());
-        let warm_cost = crate::reconstruct::modeled_warm_solve_cost(self.workers.len());
-        let lookup = self.plan_cache.lookup(&fp);
-        let strategy = match lookup {
-            // Serve only plans that still validate against the topology
-            // (a corrupted or hand-edited disk entry must not execute).
-            Lookup::Hit(plan) if plan.strategy.validate(&self.topo).is_ok() => {
-                self.synth_tally.hit += 1;
-                self.plan_cache.note_saved(full);
-                plan.strategy
-            }
-            Lookup::Warm(plan) => {
-                let warm = Synthesizer::new(&self.topo, &self.profile)
-                    .with_config(self.options.synth.clone())
-                    .with_telemetry(self.options.telemetry.clone())
-                    .synthesize_warm(&req, &plan.seed);
-                match warm {
-                    Some((strategy, seed)) => {
-                        self.synth_tally.warm += 1;
-                        self.plan_cache.note_saved(SimDuration::from_secs(
-                            full.as_secs() - warm_cost.as_secs(),
-                        ));
-                        self.plan_cache.insert(
-                            fp,
-                            CachedPlan {
-                                strategy: strategy.clone(),
-                                seed,
-                            },
-                        );
-                        strategy
-                    }
-                    None => {
-                        self.plan_cache.warm_fell_back();
-                        self.synthesize_cold(&req, fp)
-                    }
-                }
-            }
-            _ => self.synthesize_cold(&req, fp),
-        };
-        self.plan_cache.export_counters(&self.options.telemetry);
-        strategy
-    }
-
-    /// Satisfies one synthesis request through the shared cross-job
-    /// [`PlanService`]: exact hits and coalesced in-flight solves skip
-    /// this session's solver entirely, shape siblings stored by *other
-    /// jobs* warm-start it, and true cold keys solve once under the
-    /// service's single-flight admission.
-    fn synthesize_through_service(
-        &mut self,
-        service: &PlanService,
-        req: &SynthRequest,
-        fp: Fingerprint,
-    ) -> Strategy {
-        let topo = &self.topo;
-        let profile = &self.profile;
-        let synth = self.options.synth.clone();
-        let telemetry = self.options.telemetry.clone();
-        let tally = &mut self.synth_tally;
-        let resolved = service.resolve(fp, |seed| {
-            if let Some(prev) = seed {
-                if let Some((strategy, seed)) = Synthesizer::new(topo, profile)
-                    .with_config(synth.clone())
-                    .with_telemetry(telemetry.clone())
-                    .synthesize_warm(req, &prev.seed)
-                {
-                    tally.warm += 1;
-                    return (CachedPlan { strategy, seed }, true);
-                }
-            }
-            tally.cold += 1;
-            let (strategy, seed) = Synthesizer::new(topo, profile)
-                .with_config(synth.clone())
-                .with_telemetry(telemetry.clone())
-                .synthesize_with_seed(req);
-            (CachedPlan { strategy, seed }, false)
-        });
-        if matches!(resolved.served, Served::Hit | Served::Coalesced) {
-            self.synth_tally.hit += 1;
-            // A served plan came from another job's solve; guard it the
-            // same way a disk-tier hit is guarded before executing.
-            if resolved.plan.strategy.validate(&self.topo).is_err() {
-                self.synth_tally.cold += 1;
-                let (strategy, seed) = Synthesizer::new(&self.topo, &self.profile)
-                    .with_config(self.options.synth.clone())
-                    .with_telemetry(self.options.telemetry.clone())
-                    .synthesize_with_seed(req);
-                service.insert(
-                    fp,
-                    CachedPlan {
-                        strategy: strategy.clone(),
-                        seed,
-                    },
-                );
-                service.export_counters(&self.options.telemetry);
-                return strategy;
-            }
-        }
+        let synth = Synthesizer::new(&self.topo, &self.profile)
+            .with_config(self.options.synth.clone())
+            .with_telemetry(self.options.telemetry.clone());
+        let service = &self.plan_service;
+        let resolved = service.resolve(fp, |seed| synthesize(&synth, &req, seed));
+        let resolved = service.revalidate(
+            fp,
+            resolved,
+            |plan| plan.strategy.validate(&self.topo).is_ok(),
+            || synthesize(&synth, &req, None).0,
+        );
+        let n = self.workers.len();
+        self.plan_stats.record(
+            resolved.served,
+            crate::reconstruct::modeled_solve_cost(n),
+            crate::reconstruct::modeled_warm_solve_cost(n),
+        );
+        self.plan_stats
+            .export_counters(&self.options.telemetry, service);
         service.export_counters(&self.options.telemetry);
         resolved.plan.strategy.clone()
-    }
-
-    fn synthesize_cold(&mut self, req: &SynthRequest, fp: Fingerprint) -> Strategy {
-        self.synth_tally.cold += 1;
-        let (strategy, seed) = Synthesizer::new(&self.topo, &self.profile)
-            .with_config(self.options.synth.clone())
-            .with_telemetry(self.options.telemetry.clone())
-            .synthesize_with_seed(req);
-        self.plan_cache.insert(
-            fp,
-            CachedPlan {
-                strategy: strategy.clone(),
-                seed,
-            },
-        );
-        strategy
     }
 
     /// The canonical cache key of a synthesis request under the current
@@ -257,10 +161,17 @@ impl<'c> AdapCC<'c> {
         }
     }
 
-    /// Plan-cache effectiveness counters (hits, misses, warm starts,
-    /// modeled solver latency saved).
-    pub fn plan_cache_stats(&self) -> PlanCacheStats {
-        self.plan_cache.stats()
+    /// How this session's synthesis requests were served (hits, misses,
+    /// warm starts, modeled solver latency saved).
+    pub fn plan_cache_stats(&self) -> PlanStats {
+        self.plan_stats
+    }
+
+    /// The plan service this session resolves through (its own
+    /// one-shard service unless one was given in
+    /// [`InitOptions::plan_service`](crate::session::InitOptions::plan_service)).
+    pub fn plan_service(&self) -> &Arc<PlanService> {
+        &self.plan_service
     }
 
     /// An executor over the current fabric: live capacity factors
@@ -369,13 +280,13 @@ impl<'c> AdapCC<'c> {
 
     /// Modeled solver latency for the re-synthesis work done since
     /// `before`: full cost if anything solved cold, the warm-start
-    /// fraction if the cache seeded every solve, zero if every request
-    /// was an exact hit (or nothing was synthesized).
-    pub(crate) fn modeled_solving_since(&self, before: SynthTally) -> SimDuration {
-        let t = self.synth_tally.since(before);
-        if t.cold > 0 {
+    /// fraction if a stored seed warm-started every solve, zero if every
+    /// request was an exact hit (or nothing was synthesized).
+    pub(crate) fn modeled_solving_since(&self, before: PlanStats) -> SimDuration {
+        let now = self.plan_stats;
+        if now.misses > before.misses {
             crate::reconstruct::modeled_solve_cost(self.workers.len())
-        } else if t.warm > 0 {
+        } else if now.warm_starts > before.warm_starts {
             crate::reconstruct::modeled_warm_solve_cost(self.workers.len())
         } else {
             SimDuration::ZERO

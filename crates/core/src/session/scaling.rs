@@ -41,10 +41,10 @@ impl<'c> AdapCC<'c> {
             // Charge the modeled solver latency (like
             // `reconstruct_after_exclusion`) rather than local wall
             // time, so same-seed runs report identical reconstruction
-            // costs. The plan cache scales it: any cold solve bills the
+            // costs. The plan service scales it: any cold solve bills the
             // full anneal, pure warm starts bill the polish fraction,
             // pure exact hits are free.
-            let before = self.synth_tally;
+            let before = self.plan_stats;
             for key in keys {
                 let _ = self.strategy_for_key(&key);
             }
@@ -88,7 +88,7 @@ impl<'c> AdapCC<'c> {
         }
         let report = profiler.run();
         self.profile = report.links;
-        let before = self.synth_tally;
+        let before = self.plan_stats;
         // Registry-driven group invalidation: collect the ids of every
         // registered group containing a dead rank (and drop those
         // groups), then skip dead-scoped keys by an O(1) id check

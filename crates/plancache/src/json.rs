@@ -17,8 +17,8 @@ use adapcc_synth::solver::{PlanSeed, SubSeed};
 use adapcc_synth::strategy::{Flow, Strategy, SubCollective};
 use adapcc_topo::logical::{EdgeId, LogicalNode};
 
-use crate::cache::CachedPlan;
 use crate::fingerprint::Fingerprint;
+use crate::CachedPlan;
 
 /// Serializes one cache entry (fingerprint + plan) to a JSON string.
 pub fn encode_entry(fp: &Fingerprint, plan: &CachedPlan) -> String {

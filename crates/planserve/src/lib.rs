@@ -1,8 +1,9 @@
 //! # adapcc-planserve
 //!
-//! Concurrent multi-job plan service: one AdapCC deployment serving
-//! synthesized strategies to many training jobs at once, instead of
-//! one private cache per process.
+//! The plan service every AdapCC synthesis request resolves through.
+//! A session or runner given no shared service builds a one-shard one
+//! of its own; one shared `Arc<PlanService>` serves synthesized
+//! strategies to many training jobs at once.
 //!
 //! Real clusters run many overlapping jobs whose synthesis requests
 //! repeat heavily across tenants (TACCL, PCCL): job N+1 usually asks
@@ -32,8 +33,13 @@
 //! one `Arc<PlanService>` through `InitOptions::plan_service`, the
 //! baselines `Runner` through `Runner::with_plan_service`, and the
 //! `adapcc_sim serve` subcommand drives a synthetic many-job workload
-//! against it. Effectiveness counters export to telemetry as
-//! `planserve.*`.
+//! against it. [`PlanService::with_disk_tier`] adds the persistent
+//! tier of `adapcc-plancache`, read through on a miss and written
+//! through on insert. Each requester resolves with [`synthesize`] as
+//! its solve, checks plans it did not solve with
+//! [`PlanService::revalidate`] and bills the outcome once in its own
+//! [`PlanStats`] (exported as `plancache.*`); the store's counters
+//! export as `planserve.*`.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -42,5 +48,7 @@ pub mod admission;
 pub mod service;
 pub mod store;
 
-pub use service::{PlanService, Resolved, Served, ServiceConfig, ServiceStats};
+pub use service::{
+    synthesize, PlanService, PlanStats, Resolved, Served, ServiceConfig, ServiceStats,
+};
 pub use store::approx_plan_bytes;

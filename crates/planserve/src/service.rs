@@ -9,10 +9,13 @@
 //! this problem — full solve). Every outcome increments a counter in
 //! [`ServiceStats`], exportable to telemetry as `planserve.*`.
 
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use adapcc_plancache::{CachedPlan, Fingerprint};
+use adapcc_plancache::{CachedPlan, DiskTier, Fingerprint};
+use adapcc_simnet::time::SimDuration;
+use adapcc_synth::solver::{SynthRequest, Synthesizer};
 use adapcc_telemetry::Telemetry;
 
 use crate::admission::{FlightTable, Joined};
@@ -37,6 +40,21 @@ impl Default for ServiceConfig {
             shards: 16,
             byte_budget: 64 << 20,
             warm_start: true,
+        }
+    }
+}
+
+impl ServiceConfig {
+    /// One shard holding one default shard's slice of the budget: the
+    /// service a session builds for itself when it is given no shared
+    /// one. A `byte_budget` of `0` on top of it stores nothing, so
+    /// every request solves cold — the cold baseline.
+    pub fn one_shard() -> Self {
+        let default = Self::default();
+        ServiceConfig {
+            shards: 1,
+            byte_budget: default.byte_budget / default.shards,
+            ..default
         }
     }
 }
@@ -84,6 +102,76 @@ pub struct ServiceStats {
     pub entries: u64,
     /// Estimated bytes currently stored.
     pub bytes: u64,
+    /// Disk-tier reads or writes that failed, plus undecodable entries
+    /// evicted from it (the tier stays best-effort).
+    pub io_errors: u64,
+}
+
+/// One requester's view of its own resolves: how often its requests
+/// were served without a solve, warm-started or solved cold, and the
+/// modeled solver time that saved. A session or runner keeps one and
+/// bills every resolve through [`PlanStats::record`].
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct PlanStats {
+    /// Requests served a stored or coalesced plan (solver skipped).
+    pub hits: u64,
+    /// Requests solved cold, including a served plan that failed
+    /// revalidation and a warm seed the solver rejected.
+    pub misses: u64,
+    /// Requests solved from a shape sibling's warm seed.
+    pub warm_starts: u64,
+    /// Modeled solver latency avoided by hits and warm starts.
+    pub saved: SimDuration,
+}
+
+impl PlanStats {
+    /// Bills one resolve. `full` and `warm` are the modeled costs of a
+    /// cold and a warm-started solve for the request: a hit saves
+    /// `full`, a warm start saves `full - warm`, a cold solve nothing.
+    pub fn record(&mut self, served: Served, full: SimDuration, warm: SimDuration) {
+        match served {
+            Served::Hit | Served::Coalesced => {
+                self.hits += 1;
+                self.saved += full;
+            }
+            Served::Warm => {
+                self.warm_starts += 1;
+                self.saved += SimDuration::from_secs(full.as_secs() - warm.as_secs());
+            }
+            Served::Cold => self.misses += 1,
+        }
+    }
+
+    /// Publishes the counters to a telemetry sink as `plancache.*`,
+    /// with the size of the store the requester resolves against.
+    pub fn export_counters(&self, telemetry: &Telemetry, service: &PlanService) {
+        if !telemetry.is_enabled() {
+            return;
+        }
+        telemetry.set_counter("plancache.hits", self.hits as f64);
+        telemetry.set_counter("plancache.misses", self.misses as f64);
+        telemetry.set_counter("plancache.warm_starts", self.warm_starts as f64);
+        telemetry.set_counter("plancache.saved_secs", self.saved.as_secs());
+        telemetry.set_counter("plancache.entries", service.len() as f64);
+    }
+}
+
+/// The solve a requester hands [`PlanService::resolve`]: warm-start
+/// `synth` from `seed` when one is offered and its structure still
+/// applies, otherwise solve cold. Returns the plan and whether the seed
+/// was used.
+pub fn synthesize(
+    synth: &Synthesizer<'_>,
+    req: &SynthRequest,
+    seed: Option<&CachedPlan>,
+) -> (CachedPlan, bool) {
+    if let Some(prev) = seed {
+        if let Some((strategy, seed)) = synth.synthesize_warm(req, &prev.seed) {
+            return (CachedPlan { strategy, seed }, true);
+        }
+    }
+    let (strategy, seed) = synth.synthesize_with_seed(req);
+    (CachedPlan { strategy, seed }, false)
 }
 
 /// Shared, thread-safe plan service. Clone the `Arc` into every
@@ -96,6 +184,7 @@ pub struct PlanService {
     store: ShardedStore,
     flights: FlightTable,
     config: ServiceConfig,
+    disk: Option<DiskTier>,
     hits: AtomicU64,
     coalesced: AtomicU64,
     warm: AtomicU64,
@@ -117,6 +206,7 @@ impl PlanService {
             store: ShardedStore::new(config.shards, config.byte_budget),
             flights: FlightTable::new(),
             config,
+            disk: None,
             hits: AtomicU64::new(0),
             coalesced: AtomicU64::new(0),
             warm: AtomicU64::new(0),
@@ -124,6 +214,16 @@ impl PlanService {
             evictions: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
         }
+    }
+
+    /// Persists every plan under `dir` as well: a request that misses
+    /// the memory store reads through to the directory (exact entry
+    /// first, then a shape sibling as a warm seed) before solving, and
+    /// every stored plan is written through, so a later process starts
+    /// warm.
+    pub fn with_disk_tier(mut self, dir: impl Into<PathBuf>) -> Self {
+        self.disk = Some(DiskTier::new(dir));
+        self
     }
 
     /// The configuration the service was built with.
@@ -175,8 +275,20 @@ impl PlanService {
                     continue;
                 }
                 Joined::Lead(lead) => {
+                    // Read through the disk tier before solving: an
+                    // entry an earlier process persisted is a hit.
+                    if let Some(plan) = self.disk.as_ref().and_then(|d| d.load(&fp)) {
+                        let plan = Arc::new(plan);
+                        self.store_plan(fp, Arc::clone(&plan));
+                        lead.publish(Arc::clone(&plan));
+                        self.hits.fetch_add(1, Ordering::Relaxed);
+                        return Resolved {
+                            plan,
+                            served: Served::Hit,
+                        };
+                    }
                     let seed = if self.config.warm_start {
-                        self.store.warm_candidate(&fp)
+                        self.warm_seed(&fp)
                     } else {
                         None
                     };
@@ -185,11 +297,7 @@ impl PlanService {
                     // Store BEFORE publishing/retiring the flight —
                     // the exactly-once guarantee depends on the store
                     // being authoritative the instant the flight ends.
-                    let outcome = self.store.insert(fp, Arc::clone(&plan));
-                    self.evictions.fetch_add(outcome.evicted, Ordering::Relaxed);
-                    if !outcome.stored {
-                        self.rejected.fetch_add(1, Ordering::Relaxed);
-                    }
+                    self.put(fp, Arc::clone(&plan));
                     lead.publish(Arc::clone(&plan));
                     let served = if warmed && seed.is_some() {
                         self.warm.fetch_add(1, Ordering::Relaxed);
@@ -204,19 +312,54 @@ impl PlanService {
         }
     }
 
-    /// Exact lookup without admission — never solves.
-    pub fn peek(&self, fp: &Fingerprint) -> Option<Arc<CachedPlan>> {
-        let plan = self.store.get(fp);
-        if plan.is_some() {
-            self.hits.fetch_add(1, Ordering::Relaxed);
+    /// Re-solves a served plan that `valid` rejects. A hit or coalesced
+    /// plan was solved by another requester or read from disk (a
+    /// hand-edited entry, say); if it does not check out against the
+    /// requester's topology, `solve` solves cold, the result replaces
+    /// the stored entry and the outcome becomes [`Served::Cold`]. Plans
+    /// the requester solved itself pass through unchecked.
+    pub fn revalidate(
+        &self,
+        fp: Fingerprint,
+        resolved: Resolved,
+        valid: impl FnOnce(&CachedPlan) -> bool,
+        solve: impl FnOnce() -> CachedPlan,
+    ) -> Resolved {
+        if matches!(resolved.served, Served::Warm | Served::Cold) || valid(&resolved.plan) {
+            return resolved;
         }
-        plan
+        let plan = Arc::new(solve());
+        self.put(fp, Arc::clone(&plan));
+        Resolved {
+            plan,
+            served: Served::Cold,
+        }
     }
 
-    /// Inserts a plan solved outside the service (e.g. a session that
-    /// resolved through its private path but wants to share).
-    pub fn insert(&self, fp: Fingerprint, plan: CachedPlan) {
-        let outcome = self.store.insert(fp, Arc::new(plan));
+    /// The warm seed for `fp`: the latest stored shape sibling, else
+    /// one read from the disk tier (and kept in memory from then on).
+    fn warm_seed(&self, fp: &Fingerprint) -> Option<Arc<CachedPlan>> {
+        if let Some(plan) = self.store.warm_candidate(fp) {
+            return Some(plan);
+        }
+        let (sibling, plan) = self.disk.as_ref()?.load_by_shape(fp.shape)?;
+        let plan = Arc::new(plan);
+        self.store_plan(sibling, Arc::clone(&plan));
+        Some(plan)
+    }
+
+    /// Stores a plan in memory and writes it through to the disk tier.
+    fn put(&self, fp: Fingerprint, plan: Arc<CachedPlan>) {
+        if let Some(disk) = &self.disk {
+            disk.store(&fp, &plan);
+        }
+        self.store_plan(fp, plan);
+    }
+
+    /// Stores a plan in memory only, counting what that evicted or
+    /// whether the plan alone exceeds its shard's budget.
+    fn store_plan(&self, fp: Fingerprint, plan: Arc<CachedPlan>) {
+        let outcome = self.store.insert(fp, plan);
         self.evictions.fetch_add(outcome.evicted, Ordering::Relaxed);
         if !outcome.stored {
             self.rejected.fetch_add(1, Ordering::Relaxed);
@@ -234,6 +377,7 @@ impl PlanService {
             rejected: self.rejected.load(Ordering::Relaxed),
             entries: self.store.len() as u64,
             bytes: self.store.bytes() as u64,
+            io_errors: self.disk.as_ref().map_or(0, DiskTier::io_errors),
         }
     }
 
@@ -255,6 +399,9 @@ impl PlanService {
     /// Exports the effectiveness counters to `telemetry` as
     /// `planserve.*`.
     pub fn export_counters(&self, telemetry: &Telemetry) {
+        if !telemetry.is_enabled() {
+            return;
+        }
         let stats = self.stats();
         telemetry.set_counter("planserve.hits", stats.hits as f64);
         telemetry.set_counter("planserve.coalesced", stats.coalesced as f64);
@@ -338,6 +485,105 @@ mod tests {
         assert_eq!(r.served, Served::Cold);
         assert_eq!(svc.stats().warm, 0);
         assert_eq!(svc.stats().cold, 2);
+    }
+
+    #[test]
+    fn zero_budget_stores_nothing() {
+        let svc = PlanService::new(ServiceConfig {
+            byte_budget: 0,
+            ..ServiceConfig::one_shard()
+        });
+        for _ in 0..2 {
+            let r = svc.resolve(fp(1, 2), |seed| {
+                assert!(seed.is_none(), "nothing stored, nothing to seed from");
+                (plan(), false)
+            });
+            assert_eq!(r.served, Served::Cold);
+        }
+        assert!(svc.is_empty());
+        assert_eq!(svc.stats().cold, 2);
+    }
+
+    #[test]
+    fn revalidation_failure_resolves_cold_and_replaces_the_entry() {
+        let svc = PlanService::new(ServiceConfig::one_shard());
+        svc.resolve(fp(1, 1), |_| (plan(), false));
+        let hit = svc.resolve(fp(1, 1), |_| unreachable!());
+        let mut fixed = plan();
+        fixed.strategy.primitive = Primitive::Broadcast;
+        let r = svc.revalidate(fp(1, 1), hit, |_| false, || fixed.clone());
+        assert_eq!(r.served, Served::Cold);
+        assert_eq!(*r.plan, fixed);
+        let again = svc.resolve(fp(1, 1), |_| unreachable!());
+        assert_eq!(*again.plan, fixed, "the re-solve replaced the entry");
+        // A plan the requester solved itself is never re-checked.
+        let own = svc.resolve(fp(2, 1), |_| (plan(), false));
+        let r = svc.revalidate(fp(2, 1), own, |_| unreachable!(), || unreachable!());
+        assert_eq!(r.served, Served::Cold);
+    }
+
+    #[test]
+    fn stats_bill_hits_warm_starts_and_misses_once() {
+        let (full, warm) = (SimDuration::from_secs(8.0), SimDuration::from_secs(1.0));
+        let mut stats = PlanStats::default();
+        for served in [Served::Hit, Served::Coalesced, Served::Warm, Served::Cold] {
+            stats.record(served, full, warm);
+        }
+        assert_eq!((stats.hits, stats.warm_starts, stats.misses), (2, 1, 1));
+        assert_eq!(stats.saved.as_secs(), 8.0 + 8.0 + 7.0);
+    }
+
+    fn scratch(name: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(name);
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    #[test]
+    fn disk_tier_reads_and_writes_through() {
+        let dir = scratch("adapcc_planserve_disk_test");
+        let disk = |cfg| PlanService::new(cfg).with_disk_tier(&dir);
+        let a = disk(ServiceConfig::one_shard());
+        a.resolve(fp(0xabc, 0xdef), |_| (plan(), false));
+        // A fresh service on the same directory: the exact entry is a
+        // hit without a solve...
+        let b = disk(ServiceConfig::one_shard());
+        let r = b.resolve(fp(0xabc, 0xdef), |_| panic!("disk hit must not solve"));
+        assert_eq!((r.served, *r.plan == plan()), (Served::Hit, true));
+        // ...and a drifted profile warm-starts from the stored sibling.
+        let c = disk(ServiceConfig::one_shard());
+        let r = c.resolve(fp(0xabc, 0x123), |seed| {
+            assert_eq!(seed, Some(&plan()), "disk sibling seeds the solve");
+            (plan(), true)
+        });
+        assert_eq!(r.served, Served::Warm);
+        // The warm-started plan was written through as well.
+        let d = disk(ServiceConfig::one_shard());
+        assert_eq!(
+            d.resolve(fp(0xabc, 0x123), |_| unreachable!()).served,
+            Served::Hit
+        );
+        assert_eq!(d.stats().io_errors, 0);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn corrupt_disk_entry_is_a_counted_cold_solve_that_repairs_it() {
+        let dir = scratch("adapcc_planserve_corrupt_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let f = fp(0x11, 0x22);
+        std::fs::write(dir.join(format!("{}.json", f.hex())), "not json").unwrap();
+        let svc = PlanService::new(ServiceConfig::one_shard()).with_disk_tier(&dir);
+        assert_eq!(svc.resolve(f, |_| (plan(), false)).served, Served::Cold);
+        assert_eq!(svc.stats().io_errors, 1);
+        let fresh = PlanService::new(ServiceConfig::one_shard()).with_disk_tier(&dir);
+        assert_eq!(fresh.resolve(f, |_| unreachable!()).served, Served::Hit);
+        assert_eq!(
+            fresh.stats().io_errors,
+            0,
+            "the cold solve wrote a clean entry"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

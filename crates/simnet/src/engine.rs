@@ -319,10 +319,6 @@ pub struct NetSim<'c> {
     completion_version: u64,
     last_advance: SimTime,
     last_submit: Option<LastSubmit>,
-    /// Collapse the sub-picosecond drain cascade of simultaneous
-    /// finishers into one instant (see
-    /// [`with_completion_coalescing`](Self::with_completion_coalescing)).
-    coalesce_completions: bool,
     /// Total internal events processed (engine throughput metric).
     events: u64,
     // Reusable `reallocate` scratch: no steady-state allocation.
@@ -385,7 +381,6 @@ impl<'c> NetSim<'c> {
             completion_version: 0,
             last_advance: SimTime::ZERO,
             last_submit: None,
-            coalesce_completions: false,
             events: 0,
             scratch_active: Vec::new(),
             scratch_hot: Vec::new(),
@@ -406,28 +401,6 @@ impl<'c> NetSim<'c> {
         self.telemetry = telemetry;
     }
 
-    /// Enables (or disables) completion coalescing.
-    ///
-    /// When a wave of flows drains at the same integration instant,
-    /// the exact engine completes them as a cascade: each harvest
-    /// recomputes the filling, and the `remaining / rate` residual of
-    /// the next drained flow (at most the 1e-3-byte drain epsilon over
-    /// a multi-GB/s rate — under a picosecond) separates the
-    /// completions. Coalescing
-    /// harvests the whole wave at one instant and runs a single filling
-    /// afterwards, turning an `O(wave x live)` cascade into `O(live)`.
-    ///
-    /// Off by default: the cascade's low-order timing bits are part of
-    /// the engine's historical event stream and pinned by golden
-    /// traces. The executor switches it on for cluster-scale fleets,
-    /// where no such traces exist and sub-picosecond spacing is
-    /// physically meaningless. Timing differences are bounded by one
-    /// residual per harvested wave; determinism is unaffected.
-    pub fn with_completion_coalescing(mut self, on: bool) -> Self {
-        self.coalesce_completions = on;
-        self
-    }
-
     /// Enables (or disables) the incremental, locality-aware allocator.
     ///
     /// Instead of re-running the fleet-wide progressive filling on
@@ -446,9 +419,7 @@ impl<'c> NetSim<'c> {
     /// mode fills per component and integrates lazily. Differences are
     /// f64-rounding-scale. Golden-traced small fleets therefore keep
     /// the exact engine; the executor switches incremental on at
-    /// cluster scale. Completion coalescing is irrelevant (and
-    /// ignored) in this mode — completions are per-flow events with
-    /// no harvest cascade to collapse.
+    /// cluster scale.
     ///
     /// Must be selected before the first submission.
     pub fn with_incremental_allocator(mut self, on: bool) -> Self {
@@ -1056,18 +1027,7 @@ impl<'c> NetSim<'c> {
         if self.flows[id].done {
             self.unindex_flow(id);
         }
-        if self.coalesce_completions && self.first_drained_live().is_some() {
-            // More drained flows are pending. Exact mode recomputes the
-            // filling per harvest: a drained flow still holding a rate
-            // completes at `remaining / rate` — a sub-picosecond but
-            // nonzero residual — so the wave drains as a cascade of
-            // distinct instants. Coalescing collapses that cascade:
-            // harvest the whole wave at this instant with one immediate
-            // Completion per finisher and a single filling at the end.
-            self.bump_completion_schedule(Some(SimDuration::ZERO));
-        } else {
-            self.reallocate();
-        }
+        self.reallocate();
         Some(SimEvent::TransferDone {
             token,
             at: self.now,
@@ -2176,37 +2136,6 @@ mod tests {
             assert_eq!(e.token(), t as u64);
             assert!((e.at().as_secs() - alpha).abs() < 1e-12);
         }
-    }
-
-    #[test]
-    fn completion_coalescing_collapses_simultaneous_finishers() {
-        // Two equal flows fanning in on the same server finish as one
-        // wave. Coalescing must land the whole wave on a single
-        // instant, keep the token order of the exact engine, stay
-        // within a nanosecond of its times, and remain deterministic
-        // across runs.
-        let c = Cluster::homogeneous_a100(3);
-        let size = ByteSize::from_mib(64);
-        let run = |coalesce: bool| {
-            let mut sim = NetSim::new(&c).with_completion_coalescing(coalesce);
-            sim.submit_transfer(&c.net_path(InstanceId(0), InstanceId(1)), size, 1);
-            sim.submit_transfer(&c.net_path(InstanceId(2), InstanceId(1)), size, 2);
-            sim.drain()
-        };
-        let exact = run(false);
-        let fast = run(true);
-        assert_eq!(exact.len(), 2);
-        assert_eq!(fast.len(), 2);
-        let tokens = |evs: &[SimEvent]| evs.iter().map(SimEvent::token).collect::<Vec<_>>();
-        assert_eq!(tokens(&exact), tokens(&fast));
-        // The coalesced wave lands at a single instant...
-        assert_eq!(fast[0].at(), fast[1].at());
-        // ...within a nanosecond of the exact cascade...
-        for (e, f) in exact.iter().zip(&fast) {
-            assert!((e.at().as_secs() - f.at().as_secs()).abs() < 1e-9);
-        }
-        // ...and replays bit-identically.
-        assert_eq!(fast, run(true));
     }
 
     /// Runs a scenario under both allocators and asserts identical

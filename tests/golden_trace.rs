@@ -134,8 +134,8 @@ fn reduce_flows_conserve_bytes_through_every_nic() {
 #[test]
 fn hierarchical_64_gpu_trace_is_deterministic() {
     // 64 GPUs on 16 servers: the Auto threshold engages the two-tier
-    // synthesis, and the fleet sits below both the executor's
-    // completion-coalescing and incremental-allocator thresholds, so
+    // synthesis, and the fleet sits below the executor's
+    // incremental-allocator threshold, so
     // this pins the exact engine's event ordering at the largest scale
     // that still runs it. Two identical runs must export
     // byte-identical telemetry — every flow record, span and counter

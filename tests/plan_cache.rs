@@ -1,14 +1,19 @@
-//! Integration tests for the plan-cache subsystem: exact hits replay
-//! cold synthesis verbatim, worker exclusion structurally invalidates
-//! cached plans, and warm-started re-synthesis meets the Fig. 19(c)
+//! Integration tests for plan caching through the plan service: exact
+//! hits replay cold synthesis verbatim, worker exclusion structurally
+//! invalidates stored plans, the disk tier round-trips across
+//! processes and survives corrupt entries, every resolve is billed
+//! once, a session's own one-shard service behaves exactly like an
+//! explicit one, and warm-started re-synthesis meets the Fig. 19(c)
 //! cost bar.
+
+use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 use proptest::prelude::*;
 
 use adapcc::session::{AdapCC, InitOptions};
-use adapcc_plancache::{
-    fingerprint, CachedPlan, Fingerprint, FingerprintInputs, Lookup, PlanCache, PlanCacheConfig,
-};
+use adapcc_plancache::{fingerprint, json, CachedPlan, Fingerprint, FingerprintInputs};
+use adapcc_planserve::{PlanService, Served, ServiceConfig};
 use adapcc_profile::profiler::Profiler;
 use adapcc_simnet::cluster::{Cluster, InstanceId, Rank};
 use adapcc_simnet::units::ByteSize;
@@ -81,12 +86,11 @@ proptest! {
         };
         let (cold, plan_seed) = synth().synthesize_with_seed(&req);
         let fp = fp_for(env, &req, &env.ranks);
-        let mut cache = PlanCache::new(PlanCacheConfig::default());
-        cache.insert(fp, CachedPlan { strategy: cold.clone(), seed: plan_seed });
-        match cache.lookup(&fp) {
-            Lookup::Hit(plan) => prop_assert_eq!(plan.strategy, cold.clone()),
-            other => prop_assert!(false, "expected exact hit, got {:?}", other),
-        }
+        let service = PlanService::new(ServiceConfig::one_shard());
+        service.resolve(fp, |_| (CachedPlan { strategy: cold.clone(), seed: plan_seed.clone() }, false));
+        let hit = service.resolve(fp, |_| panic!("an exact hit must not solve"));
+        prop_assert_eq!(hit.served, Served::Hit);
+        prop_assert_eq!(&hit.plan.strategy, &cold);
         // Cold synthesis of the same fingerprint is deterministic, so
         // the cached strategy also equals a from-scratch re-solve.
         let resolved = synth().synthesize(&req);
@@ -168,17 +172,28 @@ fn exclusion_changes_the_shape_fingerprint() {
         "participant loss must flip the shape hash"
     );
     assert_eq!(before.profile, after.profile, "links did not drift");
-    let mut cache = PlanCache::new(PlanCacheConfig::default());
+    let service = PlanService::new(ServiceConfig::one_shard());
     let (strategy, seed) = Synthesizer::new(&env.topo, &env.profile)
         .with_config(SynthConfig {
             anneal_iters: 24,
             ..Default::default()
         })
         .synthesize_with_seed(&req);
-    cache.insert(before, CachedPlan { strategy, seed });
+    service.resolve(before, |_| {
+        let plan = CachedPlan {
+            strategy: strategy.clone(),
+            seed: seed.clone(),
+        };
+        (plan, false)
+    });
+    let resolved = service.resolve(after, |seed| {
+        assert!(seed.is_none(), "pre-exclusion plan must not seed the solve");
+        let (strategy, seed) = Synthesizer::new(&env.topo, &env.profile).synthesize_with_seed(&req);
+        (CachedPlan { strategy, seed }, false)
+    });
     assert_eq!(
-        cache.lookup(&after),
-        Lookup::Miss,
+        resolved.served,
+        Served::Cold,
         "pre-exclusion plan must not be served"
     );
 }
@@ -228,7 +243,7 @@ fn session_never_serves_a_pre_exclusion_plan() {
 #[test]
 fn warm_start_is_5x_cheaper_with_identical_evaluated_cost() {
     let tensor = ByteSize::from_mib(128);
-    let run = |plan_cache: PlanCacheConfig| {
+    let run = |plan_service: Option<Arc<PlanService>>| {
         let cluster = Cluster::homogeneous_a100(2);
         let mut cc = AdapCC::init(
             &cluster,
@@ -237,7 +252,7 @@ fn warm_start_is_5x_cheaper_with_identical_evaluated_cost() {
                     anneal_iters: 120,
                     ..Default::default()
                 },
-                plan_cache,
+                plan_service,
                 ..Default::default()
             },
         );
@@ -253,8 +268,13 @@ fn warm_start_is_5x_cheaper_with_identical_evaluated_cost() {
             .as_secs();
         (recon.solving.as_secs(), cost, cc.plan_cache_stats())
     };
-    let (cold_solving, cold_cost, _) = run(PlanCacheConfig::disabled());
-    let (warm_solving, warm_cost, stats) = run(PlanCacheConfig::default());
+    // The cold baseline: a service that stores nothing.
+    let cold = PlanService::new(ServiceConfig {
+        byte_budget: 0,
+        ..ServiceConfig::one_shard()
+    });
+    let (cold_solving, cold_cost, _) = run(Some(Arc::new(cold)));
+    let (warm_solving, warm_cost, stats) = run(None);
     assert!(
         stats.warm_starts > 0,
         "drifted profile over unchanged fleet warm-starts: {stats:?}"
@@ -273,5 +293,162 @@ fn warm_start_is_5x_cheaper_with_identical_evaluated_cost() {
     assert!(
         (warm_cost - cold_cost).abs() <= 1e-3 * cold_cost,
         "warm and cold re-syntheses must agree on evaluated cost: {warm_cost} vs {cold_cost}"
+    );
+}
+
+fn quick_options(plan_service: Option<Arc<PlanService>>) -> InitOptions {
+    InitOptions {
+        synth: SynthConfig {
+            anneal_iters: 24,
+            ..Default::default()
+        },
+        plan_service,
+        ..Default::default()
+    }
+}
+
+fn disk_service(dir: &Path) -> Arc<PlanService> {
+    Arc::new(PlanService::new(ServiceConfig::one_shard()).with_disk_tier(dir))
+}
+
+fn scratch_dir(name: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(name);
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+/// The only entry file in a plan directory.
+fn sole_entry(dir: &Path) -> PathBuf {
+    let entries: Vec<PathBuf> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .collect();
+    assert_eq!(entries.len(), 1, "one plan persisted: {entries:?}");
+    entries.into_iter().next().unwrap()
+}
+
+/// The disk tier round-trips across processes: a session on a fresh
+/// service over the same directory is served the first session's plan
+/// as an exact hit, bit-identical, and an undecodable entry is a
+/// counted I/O error that the cold re-solve repairs.
+#[test]
+fn disk_tier_roundtrips_and_repairs_corrupt_entries() {
+    let dir = scratch_dir("adapcc_plan_cache_disk_roundtrip");
+    let cluster = Cluster::homogeneous_a100(2);
+    let tensor = ByteSize::from_mib(32);
+    let run = || {
+        let mut cc = AdapCC::init(&cluster, quick_options(Some(disk_service(&dir))));
+        let strategy = cc.strategy_for(Primitive::AllReduce, tensor).clone();
+        (strategy, cc.plan_cache_stats(), cc.plan_service().stats())
+    };
+    let (cold, stats, _) = run();
+    assert_eq!((stats.hits, stats.misses), (0, 1), "{stats:?}");
+    let (warm, stats, service) = run();
+    assert_eq!((stats.hits, stats.misses), (1, 0), "{stats:?}");
+    assert_eq!(warm, cold, "a disk hit serves the stored strategy verbatim");
+    assert_eq!(service.io_errors, 0);
+    std::fs::write(sole_entry(&dir), "not json").unwrap();
+    let (repaired, stats, service) = run();
+    assert_eq!((stats.hits, stats.misses), (0, 1), "{stats:?}");
+    assert_eq!(service.io_errors, 1, "the corrupt entry is counted");
+    assert_eq!(repaired, cold);
+    let (_, stats, service) = run();
+    assert_eq!(
+        (stats.hits, service.io_errors),
+        (1, 0),
+        "entry rewritten clean"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// One billing rule: a served plan that fails revalidation (here an
+/// on-disk entry that parses but whose fractions no longer sum to one)
+/// is re-solved cold and billed as a miss — never as a hit too.
+#[test]
+fn plan_failing_revalidation_is_billed_as_a_miss() {
+    let dir = scratch_dir("adapcc_plan_cache_revalidation");
+    let cluster = Cluster::homogeneous_a100(2);
+    let tensor = ByteSize::from_mib(32);
+    let mut first = AdapCC::init(&cluster, quick_options(Some(disk_service(&dir))));
+    let cold = first.strategy_for(Primitive::AllReduce, tensor).clone();
+    let path = sole_entry(&dir);
+    let (fp, mut plan) = json::decode_entry(&std::fs::read_to_string(&path).unwrap()).unwrap();
+    for sub in &mut plan.strategy.subs {
+        sub.fraction = 0.5;
+    }
+    std::fs::write(&path, json::encode_entry(&fp, &plan)).unwrap();
+
+    let mut cc = AdapCC::init(&cluster, quick_options(Some(disk_service(&dir))));
+    let served = cc.strategy_for(Primitive::AllReduce, tensor).clone();
+    assert_eq!(served, cold, "the invalid plan is replaced by a cold solve");
+    let stats = cc.plan_cache_stats();
+    assert_eq!((stats.misses, stats.hits), (1, 0), "{stats:?}");
+    assert_eq!(stats.saved.as_secs(), 0.0, "a cold solve saves nothing");
+    assert_eq!(cc.plan_service().stats().io_errors, 0, "the entry parsed");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Sessions on a shared service accrue the modeled solver time their
+/// hits saved, exactly as a session on its own service does.
+#[test]
+fn shared_service_hits_accrue_saved_solver_time() {
+    let cluster = Cluster::homogeneous_a100(2);
+    let tensor = ByteSize::from_mib(32);
+    let service = Arc::new(PlanService::default());
+    let mut a = AdapCC::init(&cluster, quick_options(Some(Arc::clone(&service))));
+    let _ = a.strategy_for(Primitive::AllReduce, tensor);
+    assert_eq!(a.plan_cache_stats().saved.as_secs(), 0.0, "A solved cold");
+    let mut b = AdapCC::init(&cluster, quick_options(Some(Arc::clone(&service))));
+    let _ = b.strategy_for(Primitive::AllReduce, tensor);
+    let stats = b.plan_cache_stats();
+    assert_eq!((stats.hits, stats.misses), (1, 0), "{stats:?}");
+    assert!(
+        stats.saved.as_secs() > 0.0,
+        "B's hit saved a solve: {stats:?}"
+    );
+}
+
+/// A session given no service builds its own one-shard service, so it
+/// must be indistinguishable from a session handed that service
+/// explicitly: the same request sequence (cold solves, memo hits, an
+/// exclusion, a rejoin that exact-hits, a drifted profile that
+/// warm-starts) yields identical strategies and identical counters.
+#[test]
+fn own_service_matches_an_explicit_one_shard_service() {
+    let cluster = Cluster::homogeneous_a100(2);
+    let run = |plan_service: Option<Arc<PlanService>>| {
+        let mut cc = AdapCC::init(&cluster, quick_options(plan_service));
+        cc.setup();
+        let mut served = Vec::new();
+        let mut step = |cc: &mut AdapCC<'_>| {
+            for mib in [8, 32] {
+                served.push(
+                    cc.strategy_for(Primitive::AllReduce, ByteSize::from_mib(mib))
+                        .clone(),
+                );
+            }
+            served.push(
+                cc.strategy_for_root(Primitive::Broadcast, ByteSize::from_mib(16), Some(Rank(3)))
+                    .clone(),
+            );
+        };
+        step(&mut cc);
+        cc.exclude_workers(&[Rank(5)]);
+        step(&mut cc);
+        cc.add_workers(&[Rank(5)]).expect("rejoin is valid");
+        step(&mut cc);
+        cc.set_fabric_factors(vec![(cluster.nic_egress_link(InstanceId(1)), 0.5)]);
+        assert!(cc.reprofile().changed, "degraded NIC re-synthesizes");
+        step(&mut cc);
+        (served, cc.plan_cache_stats())
+    };
+    let (own, own_stats) = run(None);
+    let explicit = Arc::new(PlanService::new(ServiceConfig::one_shard()));
+    let (given, given_stats) = run(Some(explicit));
+    assert_eq!(own, given, "strategies must match request for request");
+    assert_eq!(own_stats, given_stats);
+    assert!(
+        own_stats.hits > 0 && own_stats.misses > 0 && own_stats.warm_starts > 0,
+        "the sequence exercises every outcome: {own_stats:?}"
     );
 }

@@ -5,8 +5,9 @@
 //!   hierarchical decomposition must land within a bounded cost ratio
 //!   of the flat search;
 //! - at 512 GPUs the composed strategy must conserve flows and compute
-//!   the exact allreduce sum (the fleet is far past the coalescing
-//!   threshold, so this also exercises the engine's coalesced drain);
+//!   the exact allreduce sum (the fleet is far past the
+//!   incremental-allocator threshold, so this also exercises the
+//!   engine's dirty-frontier refill);
 //! - the synthesized strategy must be bit-identical however many
 //!   worker threads the solver's chains are scheduled onto.
 
