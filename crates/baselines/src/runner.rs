@@ -525,152 +525,3 @@ mod tests {
         assert!(r.finish.as_secs() > 0.2);
     }
 }
-
-#[cfg(test)]
-mod diag {
-    use super::*;
-    use adapcc_profile::profiler::Profiler;
-    use adapcc_topo::detect::Detector;
-
-    #[test]
-    #[ignore]
-    fn nccl_breakdown() {
-        let c = Cluster::paper_testbed();
-        let topo = Detector::new(&c, 1).run().logical_topology(&c);
-        let profile = Profiler::new(&c, &topo, 1).without_noise().run().links;
-        let runner = Runner::new(&c, &topo, &profile);
-        let ranks: Vec<Rank> = (0..24).map(Rank).collect();
-        let ready = BTreeMap::new();
-        let tensor = ByteSize::from_mib(256);
-        for (label, prim) in [
-            ("reduce", Primitive::Reduce),
-            ("allreduce", Primitive::AllReduce),
-        ] {
-            let r = runner.run(System::Nccl, prim, tensor, &ranks, &ready);
-            println!(
-                "NCCL {label}: {:.1}ms bw={:.2}GB/s",
-                r.comm_time.as_millis(),
-                r.algo_bw_gbytes
-            );
-        }
-        // chunk sensitivity
-        for kib in [256u64, 512, 1024, 4096, 8192] {
-            let mut s = crate::nccl::nccl_strategy(&topo, Primitive::AllReduce, &ranks);
-            for sub in &mut s.subs {
-                sub.chunk = ByteSize::from_kib(kib);
-            }
-            let exec = adapcc::executor::Executor::new(&c, &topo);
-            let f = exec
-                .execute(&[adapcc::executor::ExecutionRequest::timing(&s, tensor)])
-                .finish;
-            println!("NCCL chunk {kib}KiB: {:.1}ms", f.as_secs() * 1e3);
-        }
-        // homogeneous 4x A100 for comparison
-        let ch = Cluster::homogeneous_a100(4);
-        let topoh = Detector::new(&ch, 1).run().logical_topology(&ch);
-        let profh = Profiler::new(&ch, &topoh, 1).without_noise().run().links;
-        let rh = Runner::new(&ch, &topoh, &profh);
-        let ranksh: Vec<Rank> = (0..16).map(Rank).collect();
-        let r = rh.run(System::Nccl, Primitive::AllReduce, tensor, &ranksh, &ready);
-        println!(
-            "NCCL homo16: {:.1}ms bw={:.2}GB/s",
-            r.comm_time.as_millis(),
-            r.algo_bw_gbytes
-        );
-        let r = rh.run(
-            System::AdapCc,
-            Primitive::AllReduce,
-            tensor,
-            &ranksh,
-            &ready,
-        );
-        println!(
-            "AdapCC homo16: {:.1}ms bw={:.2}GB/s",
-            r.comm_time.as_millis(),
-            r.algo_bw_gbytes
-        );
-    }
-}
-
-#[cfg(test)]
-mod diag2 {
-    use super::*;
-    use adapcc_profile::profiler::Profiler;
-    use adapcc_synth::cost::CostModel;
-    use adapcc_topo::detect::Detector;
-
-    #[test]
-    #[ignore]
-    fn hetero_2a2v_exec() {
-        let c = Cluster::heterogeneous_2a100_2v100();
-        let topo = Detector::new(&c, 1).run().logical_topology(&c);
-        let profile = Profiler::new(&c, &topo, 1).without_noise().run().links;
-        let runner = Runner::new(&c, &topo, &profile);
-        let ranks: Vec<Rank> = (0..16).map(Rank).collect();
-        let tensor = ByteSize::from_mib(528);
-        for sys in [System::AdapCc, System::Nccl, System::Msccl] {
-            let r = runner.run(
-                sys,
-                Primitive::AllReduce,
-                tensor,
-                &ranks,
-                &Default::default(),
-            );
-            println!(
-                "{:<8} exec={:.1}ms bw={:.2}GB/s",
-                sys.name(),
-                r.comm_time.as_millis(),
-                r.algo_bw_gbytes
-            );
-        }
-        // reduce-only exec of the AdapCC strategy
-        let mut rs = runner.strategy(System::AdapCc, Primitive::AllReduce, tensor, &ranks);
-        rs.primitive = Primitive::Reduce;
-        let exec1 = Executor::new(&c, &topo);
-        let t_red = exec1
-            .execute(&[ExecutionRequest::timing(&rs, tensor)])
-            .finish
-            .as_secs();
-        let mut ns2 = crate::nccl::nccl_strategy(&topo, Primitive::Reduce, &ranks);
-        let t_red_n = exec1
-            .execute(&[ExecutionRequest::timing(&ns2, tensor)])
-            .finish
-            .as_secs();
-        ns2.primitive = Primitive::Reduce;
-        println!(
-            "reduce-only: adapcc={:.1}ms nccl={:.1}ms",
-            t_red * 1e3,
-            t_red_n * 1e3
-        );
-        // model on NCCL's own strategy
-        let ns = crate::nccl::nccl_strategy(&topo, Primitive::AllReduce, &ranks);
-        let model0 = CostModel::new(&topo, &profile);
-        println!(
-            "model(NCCL strategy) = {:.1}ms",
-            model0.evaluate(&ns, tensor).completion.as_millis()
-        );
-        // inspect AdapCC strategy
-        let s = runner.strategy(System::AdapCc, Primitive::AllReduce, tensor, &ranks);
-        let model = CostModel::new(&topo, &profile);
-        println!(
-            "pred={:.1}ms M={} root={:?}",
-            model.evaluate(&s, tensor).completion.as_millis(),
-            s.parallelism(),
-            s.subs[0].root
-        );
-        for (m, sub) in s.subs.iter().enumerate() {
-            let netedges: Vec<String> = sub
-                .edges()
-                .iter()
-                .filter(|e| topo.edge(**e).kind == adapcc_topo::logical::EdgeKind::Network)
-                .map(|e| format!("{}->{}", topo.edge(*e).from, topo.edge(*e).to))
-                .collect();
-            println!(
-                "  sub{m}: frac={:.2} chunk={}KiB net={:?}",
-                sub.fraction,
-                sub.chunk.as_u64() / 1024,
-                netedges
-            );
-        }
-    }
-}

@@ -6,57 +6,85 @@
 //!     --servers a100:4,v100:2 --primitive allreduce --size-mib 256 --describe
 //! ```
 
+use std::path::Path;
+use std::time::Instant;
+
 use adapcc_baselines::runner::{Runner, System};
 use adapcc_bench::chaos::{self, ChaosConfig};
 use adapcc_bench::churn::{self, ChurnConfig};
-use adapcc_bench::cli::{
-    build_cluster, parse_args, parse_chaos_args, parse_churn_args, parse_engine_args,
-    parse_parallel3d_args, parse_serve_args, ServerKind, SimArgs,
-};
-use adapcc_bench::engine_bench::engine_storm;
+use adapcc_bench::cli::{self, build_cluster, Run, SimArgs};
+use adapcc_bench::engine_bench::{engine_storm, AllocMode, StormConfig, StormMode};
 use adapcc_bench::harness::profiled_with_telemetry;
-use adapcc_bench::record::BenchRecord;
+use adapcc_bench::parallel_bench::{self, ParallelConfig};
+use adapcc_bench::record::Row;
 use adapcc_bench::service_bench::{run_service_bench, ServiceWorkload};
 use adapcc_planserve::{PlanService, ServiceConfig};
-use adapcc_simnet::cluster::Rank;
-use adapcc_simnet::time::SimDuration;
-use adapcc_simnet::units::ByteSize;
+use adapcc_profile::profiler::LinkProfile;
+use adapcc_simnet::cluster::{Cluster, Rank};
 use adapcc_telemetry::Telemetry;
+use adapcc_topo::logical::LogicalTopology;
 
 fn main() {
-    let mut argv: Vec<String> = std::env::args().skip(1).collect();
-    if argv.first().map(String::as_str) == Some("chaos") {
-        argv.remove(0);
-        run_chaos(argv);
-        return;
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let rest = || argv.iter().skip(1).cloned();
+    match argv.first().map(String::as_str) {
+        Some("chaos") => run_chaos(parsed(cli::parse_chaos_args(rest()))),
+        Some("churn") => run_churn(parsed(cli::parse_churn_args(rest()))),
+        Some("engine") => run_engine(parsed(cli::parse_engine_args(rest()))),
+        Some("serve") => run_serve(parsed(cli::parse_serve_args(rest()))),
+        Some("parallel3d") => run_parallel3d(parsed(cli::parse_parallel3d_args(rest()))),
+        _ => run_collective(parsed(cli::parse_args(argv.iter().cloned()))),
     }
-    if argv.first().map(String::as_str) == Some("churn") {
-        argv.remove(0);
-        run_churn(argv);
-        return;
+}
+
+/// Unwraps a parsed command line, or exits: 0 after `--help` (whose
+/// usage text arrives as the error), 2 on a malformed one.
+fn parsed<T>(parse: Result<T, String>) -> T {
+    parse.unwrap_or_else(|msg| {
+        eprintln!("{msg}");
+        std::process::exit(if msg.starts_with("adapcc-sim") { 0 } else { 2 })
+    })
+}
+
+/// Appends `row()` to the `--bench-append` file when one was given, or
+/// exits 1 when it cannot.
+fn append(path: Option<&str>, what: &str, row: impl FnOnce() -> Row) {
+    let Some(path) = path else { return };
+    if let Err(e) = row().append_to(Path::new(path)) {
+        eprintln!("cannot append {what} record to {path}: {e}");
+        std::process::exit(1);
     }
-    if argv.first().map(String::as_str) == Some("engine") {
-        argv.remove(0);
-        run_engine(argv);
-        return;
-    }
-    if argv.first().map(String::as_str) == Some("serve") {
-        argv.remove(0);
-        run_serve(argv);
-        return;
-    }
-    if argv.first().map(String::as_str) == Some("parallel3d") {
-        argv.remove(0);
-        run_parallel3d(argv);
-        return;
-    }
-    let args = match parse_args(argv) {
-        Ok(a) => a,
-        Err(msg) => {
-            eprintln!("{msg}");
-            std::process::exit(if msg.starts_with("adapcc-sim") { 0 } else { 2 });
-        }
+    println!("{what} record appended to {path}");
+}
+
+fn wall_ms_since(start: Instant) -> f64 {
+    start.elapsed().as_secs_f64() * 1e3
+}
+
+/// A runner at the arguments' solver settings, reporting into
+/// `telemetry`.
+fn runner_for<'a>(
+    args: &SimArgs,
+    cluster: &'a Cluster,
+    topo: &'a LogicalTopology,
+    profile: &'a LinkProfile,
+    telemetry: Telemetry,
+) -> Runner<'a> {
+    let hierarchical = if args.hierarchical {
+        adapcc_synth::Hierarchical::On
+    } else {
+        adapcc_synth::Hierarchical::Auto
     };
+    let mut runner = Runner::new(cluster, topo, profile)
+        .with_parallelism(args.parallelism)
+        .with_solver(args.solver_chains, args.solver_threads)
+        .with_hierarchical(hierarchical)
+        .with_telemetry(telemetry);
+    runner.seed = args.seed;
+    runner
+}
+
+fn run_collective(args: SimArgs) {
     let cluster = build_cluster(&args);
     println!(
         "cluster: {} servers / {} GPUs ({})",
@@ -70,20 +98,16 @@ fn main() {
     } else {
         Telemetry::disabled()
     };
-    let hierarchical = if args.hierarchical {
-        adapcc_synth::Hierarchical::On
-    } else {
-        adapcc_synth::Hierarchical::Auto
-    };
-    let run_start = std::time::Instant::now();
+    let run_start = Instant::now();
     let (topo, profile, control_secs) =
         profiled_with_telemetry(&cluster, args.seed, telemetry.clone());
-    let mut runner = Runner::new(&cluster, &topo, &profile)
-        .with_parallelism(args.parallelism)
-        .with_solver(args.solver_chains, args.solver_threads)
-        .with_hierarchical(hierarchical)
-        .with_telemetry(telemetry.at_offset(control_secs));
-    runner.seed = args.seed;
+    let mut runner = runner_for(
+        &args,
+        &cluster,
+        &topo,
+        &profile,
+        telemetry.at_offset(control_secs),
+    );
     if let Some(dir) = &args.plan_cache_dir {
         runner = runner.with_plan_service(std::sync::Arc::new(
             PlanService::new(ServiceConfig::one_shard()).with_disk_tier(dir),
@@ -101,7 +125,7 @@ fn main() {
         &ranks,
         &Default::default(),
     );
-    let sim_wall_ms = run_start.elapsed().as_secs_f64() * 1e3;
+    let sim_wall_ms = wall_ms_since(run_start);
     println!(
         "{} {} of {}: {} ({:.2} GB/s algorithm bandwidth, {:.0} ms wall)",
         args.system.name(),
@@ -132,69 +156,36 @@ fn main() {
         write_or_die(path, &telemetry.metrics_summary(), "metrics");
         println!("metrics written to {path}");
     }
-    if let Some(path) = &args.bench_append {
+    append(args.bench_append.as_deref(), "bench", || {
         // One extra cold synthesis, timed on the host clock with a
         // throwaway telemetry sink for the synth.* counters. The wall
         // time is a property of this machine, never of the simulated
         // timeline, so it lives only in the bench record.
-        let (solver_wall_ms, full_evals, delta_evals, chains) = if args.system == System::AdapCc {
+        let (solver, solver_wall_ms) = if args.system == System::AdapCc {
             let probe = Telemetry::enabled();
-            let mut timed = Runner::new(&cluster, &topo, &profile)
-                .with_parallelism(args.parallelism)
-                .with_solver(args.solver_chains, args.solver_threads)
-                .with_hierarchical(hierarchical)
-                .with_telemetry(probe.clone());
-            timed.seed = args.seed;
-            let start = std::time::Instant::now();
+            let timed = runner_for(&args, &cluster, &topo, &profile, probe.clone());
+            let start = Instant::now();
             let _ = timed.strategy(System::AdapCc, args.primitive, args.tensor, &ranks);
-            let wall = start.elapsed().as_secs_f64() * 1e3;
-            (
-                wall,
-                probe.counter("synth.full_evals") as u64,
-                probe.counter("synth.delta_evals") as u64,
-                probe.counter("synth.chains") as u64,
-            )
+            (probe, wall_ms_since(start))
         } else {
-            (0.0, 0, 0, 0)
+            (Telemetry::disabled(), 0.0)
         };
         // Engine throughput on the same cluster: a short storm so
         // BENCH rows carry events/sec alongside the solver numbers.
         let engine_events_per_sec = if cluster.instance_count() >= 2 {
-            engine_storm(
-                &cluster,
-                4,
-                adapcc_bench::engine_bench::StormMode::Wave,
-                adapcc_bench::engine_bench::AllocMode::Auto,
-            )
-            .events_per_sec()
+            engine_storm(&cluster, 4, StormMode::Wave, AllocMode::Auto).events_per_sec()
         } else {
             0.0
         };
-        let rec = BenchRecord {
-            system: args.system.name().to_string(),
-            primitive: args.primitive.to_string(),
-            servers: servers_spec(&args),
-            tensor_mib: args.tensor.as_u64() / (1024 * 1024),
-            parallelism: args.parallelism,
-            comm_time_ms: report.comm_time.as_millis(),
-            algo_bw_gbytes: report.algo_bw_gbytes,
-            plan_cache_hits: cache_stats.hits,
-            plan_cache_misses: cache_stats.misses,
-            plan_cache_warm_starts: cache_stats.warm_starts,
+        args.row(
+            &report,
+            &cache_stats,
+            &solver,
             solver_wall_ms,
-            synth_full_evals: full_evals,
-            synth_delta_evals: delta_evals,
-            synth_chains: chains,
-            hierarchical: args.hierarchical,
             sim_wall_ms,
             engine_events_per_sec,
-        };
-        if let Err(e) = rec.append_to(std::path::Path::new(path)) {
-            eprintln!("cannot append bench record to {path}: {e}");
-            std::process::exit(1);
-        }
-        println!("bench record appended to {path}");
-    }
+        )
+    });
 }
 
 fn write_or_die(path: &str, contents: &str, what: &str) {
@@ -204,45 +195,19 @@ fn write_or_die(path: &str, contents: &str, what: &str) {
     }
 }
 
-fn servers_spec(args: &SimArgs) -> String {
-    args.servers
-        .iter()
-        .map(|(kind, count)| {
-            let name = match kind {
-                ServerKind::A100 => "a100",
-                ServerKind::V100 => "v100",
-                ServerKind::H100 => "h100",
-            };
-            format!("{name}:{count}")
-        })
-        .collect::<Vec<_>>()
-        .join(",")
-}
-
-fn run_engine(argv: Vec<String>) {
-    let args = match parse_engine_args(argv) {
-        Ok(a) => a,
-        Err(msg) => {
-            eprintln!("{msg}");
-            std::process::exit(if msg.starts_with("adapcc-sim") { 0 } else { 2 });
-        }
-    };
-    let cluster = adapcc_simnet::cluster::Cluster::homogeneous_a100(args.servers);
-    let report = engine_storm(&cluster, args.waves, args.storm, args.alloc);
-    let alloc_name = if report.incremental {
-        "incremental"
-    } else {
-        "exact"
-    };
+fn run_engine(run: Run<StormConfig>) {
+    let cfg = run.config;
+    let cluster = Cluster::homogeneous_a100(cfg.servers);
+    let report = engine_storm(&cluster, cfg.waves, cfg.storm, cfg.alloc);
     println!(
         "engine storm ({} / {} alloc): {} servers / {} GPUs, {} waves, {} transfers \
          -> {} events in {:.1} ms wall ({:.0} events/sec, {:.3} ms simulated, \
          {} fillings touching {} flows)",
-        args.storm.as_str(),
-        alloc_name,
+        cfg.storm.as_str(),
+        report.alloc_name(),
         cluster.instance_count(),
         cluster.gpu_count(),
-        args.waves,
+        cfg.waves,
         report.transfers,
         report.events,
         report.wall_ms,
@@ -251,59 +216,24 @@ fn run_engine(argv: Vec<String>) {
         report.fillings,
         report.frontier_flows
     );
-    if let Some(path) = &args.bench_append {
-        let rec = adapcc_bench::record::EngineBenchRecord {
-            servers: format!("a100:{}", args.servers),
-            gpus: cluster.gpu_count(),
-            waves: args.waves,
-            storm: args.storm.as_str().into(),
-            alloc: alloc_name.into(),
-            transfers: report.transfers,
-            events: report.events,
-            sim_ms: report.sim_ms,
-            wall_ms: report.wall_ms,
-            events_per_sec: report.events_per_sec(),
-            fillings: report.fillings,
-            frontier_flows: report.frontier_flows,
-            // The storm never synthesizes; the zero cache columns keep
-            // engine rows schema-uniform with every other record.
-            plan_cache_hits: 0,
-            plan_cache_misses: 0,
-            plan_cache_warm_starts: 0,
-            hierarchical: false,
-        };
-        if let Err(e) = rec.append_to(std::path::Path::new(path)) {
-            eprintln!("cannot append engine record to {path}: {e}");
-            std::process::exit(1);
-        }
-        println!("engine record appended to {path}");
-    }
+    append(run.bench_append.as_deref(), "engine", || {
+        report.row(&cfg, cluster.gpu_count())
+    });
 }
 
-fn run_serve(argv: Vec<String>) {
-    let args = match parse_serve_args(argv) {
-        Ok(a) => a,
-        Err(msg) => {
-            eprintln!("{msg}");
-            std::process::exit(if msg.starts_with("adapcc-sim") { 0 } else { 2 });
-        }
-    };
-    let workload = ServiceWorkload {
-        jobs: args.jobs,
-        threads: args.threads,
-        repeat_ratio: args.repeat_ratio,
-        shapes: args.shapes,
-        seed: args.seed,
-        shards: args.shards,
-        byte_budget: args.budget_mib << 20,
-        ..ServiceWorkload::default()
-    };
+fn run_serve(run: Run<ServiceWorkload>) {
+    let w = &run.config;
     println!(
         "serve: {} jobs on {} threads, repeat ratio {:.2}, {} shapes, \
          {} shards / {} MiB budget",
-        args.jobs, args.threads, args.repeat_ratio, args.shapes, args.shards, args.budget_mib
+        w.jobs,
+        w.threads,
+        w.repeat_ratio,
+        w.shapes,
+        w.shards,
+        w.byte_budget >> 20
     );
-    let r = run_service_bench(&workload);
+    let r = run_service_bench(w);
     println!(
         "service:  {} requests in {:.1} ms -> {:.0} plans/sec \
          (hit {} / warm {} / cold {} / coalesced {}; p50 {:.0} us, p99 {:.0} us)",
@@ -333,58 +263,21 @@ fn run_serve(argv: Vec<String>) {
         "store: {} entries / {} bytes, {} evictions; speedup {:.2}x",
         r.entries, r.bytes, r.evictions, r.speedup
     );
-    if let Some(path) = &args.bench_append {
-        let rec = adapcc_bench::record::ServiceBenchRecord {
-            jobs: args.jobs,
-            threads: args.threads,
-            repeat_ratio: args.repeat_ratio,
-            shapes: args.shapes,
-            requests: r.service.requests,
-            hits: r.service.hits,
-            warm_starts: r.service.warm_starts,
-            cold_solves: r.service.cold_solves,
-            coalesced: r.service.coalesced,
-            entries: r.entries,
-            bytes: r.bytes,
-            evictions: r.evictions,
-            plans_per_sec: r.service.plans_per_sec,
-            p50_us: r.service.p50_us,
-            p99_us: r.service.p99_us,
-            wall_ms: r.service.wall_ms,
-            baseline_plans_per_sec: r.baseline.plans_per_sec,
-            baseline_p50_us: r.baseline.p50_us,
-            baseline_p99_us: r.baseline.p99_us,
-            baseline_wall_ms: r.baseline.wall_ms,
-            speedup: r.speedup,
-        };
-        if let Err(e) = rec.append_to(std::path::Path::new(path)) {
-            eprintln!("cannot append service record to {path}: {e}");
-            std::process::exit(1);
-        }
-        println!("service record appended to {path}");
-    }
+    append(run.bench_append.as_deref(), "service", || r.row(w));
 }
 
-fn run_chaos(argv: Vec<String>) {
-    let args = match parse_chaos_args(argv) {
-        Ok(a) => a,
-        Err(msg) => {
-            eprintln!("{msg}");
-            std::process::exit(if msg.starts_with("adapcc-sim") { 0 } else { 2 });
-        }
-    };
-    let cfg = ChaosConfig {
-        servers: args.servers,
-        tensor: ByteSize::from_kib(args.size_kib),
-        horizon: SimDuration::from_millis(args.horizon_ms),
-        ..Default::default()
-    };
+fn run_chaos(run: Run<ChaosConfig>) {
+    let cfg = &run.config;
     println!(
         "chaos: {} seeds from {} on {} servers, {} KiB tensors, {} ms horizon",
-        args.seeds, args.seed_base, args.servers, args.size_kib, args.horizon_ms
+        run.seeds,
+        run.seed_base,
+        cfg.servers,
+        cfg.tensor.as_u64() / 1024,
+        run.horizon_ms
     );
-    let summary = chaos::run_sweep(&cfg, args.seed_base, args.seeds, |r| {
-        if args.verbose {
+    let summary = chaos::run_sweep(cfg, run.seed_base, run.seeds, |r| {
+        if run.verbose {
             println!(
                 "  seed {:>4} ({} faults, {} iters): {:?}",
                 r.seed, r.schedule_len, r.iterations, r.outcome
@@ -407,35 +300,27 @@ fn run_chaos(argv: Vec<String>) {
     }
 }
 
-fn run_churn(argv: Vec<String>) {
-    let args = match parse_churn_args(argv) {
-        Ok(a) => a,
-        Err(msg) => {
-            eprintln!("{msg}");
-            std::process::exit(if msg.starts_with("adapcc-sim") { 0 } else { 2 });
-        }
-    };
-    let cfg = ChurnConfig {
-        servers: args.servers,
-        tensor: ByteSize::from_kib(args.size_kib),
-        horizon: SimDuration::from_millis(args.horizon_ms),
-        settle_iters: args.settle_iters,
-        ..Default::default()
-    };
+fn run_churn(run: Run<ChurnConfig>) {
+    let cfg = &run.config;
     println!(
         "churn: {} seeds from {} on {} servers, {} KiB tensors, {} ms horizon, {} settle iters",
-        args.seeds, args.seed_base, args.servers, args.size_kib, args.horizon_ms, args.settle_iters
+        run.seeds,
+        run.seed_base,
+        cfg.servers,
+        cfg.tensor.as_u64() / 1024,
+        run.horizon_ms,
+        cfg.settle_iters
     );
-    let start = std::time::Instant::now();
-    let summary = churn::run_sweep(&cfg, args.seed_base, args.seeds, |r| {
-        if args.verbose {
+    let start = Instant::now();
+    let summary = churn::run_sweep(cfg, run.seed_base, run.seeds, |r| {
+        if run.verbose {
             println!(
                 "  seed {:>4} ({} events, {} iters, {} errors, {} rejoins): {:?}",
                 r.seed, r.schedule_len, r.iterations, r.errors, r.rejoins, r.outcome
             );
         }
     });
-    let wall_ms = start.elapsed().as_secs_f64() * 1e3;
+    let wall_ms = wall_ms_since(start);
     println!(
         "converged {} / classified {} / violations {} (of {}); {} rejoins, {} errors absorbed",
         summary.converged,
@@ -449,31 +334,9 @@ fn run_churn(argv: Vec<String>) {
         "plan cache over the sweep: {} hit(s), {} warm start(s), {} miss(es)",
         summary.plan_hits, summary.plan_warm_starts, summary.plan_misses
     );
-    if let Some(path) = &args.bench_append {
-        let rec = adapcc_bench::record::ChurnBenchRecord {
-            seeds: args.seeds,
-            seed_base: args.seed_base,
-            servers: args.servers,
-            size_kib: args.size_kib,
-            horizon_ms: args.horizon_ms,
-            settle_iters: args.settle_iters,
-            converged: summary.converged,
-            classified: summary.classified,
-            violations: summary.violations.len(),
-            rejoins: summary.rejoins,
-            errors: summary.errors,
-            plan_cache_hits: summary.plan_hits,
-            plan_cache_misses: summary.plan_misses,
-            plan_cache_warm_starts: summary.plan_warm_starts,
-            hierarchical: false,
-            wall_ms,
-        };
-        if let Err(e) = rec.append_to(std::path::Path::new(path)) {
-            eprintln!("cannot append churn record to {path}: {e}");
-            std::process::exit(1);
-        }
-        println!("churn record appended to {path}");
-    }
+    append(run.bench_append.as_deref(), "churn", || {
+        summary.row(cfg, run.seeds, run.seed_base, run.horizon_ms, wall_ms)
+    });
     if !summary.violations.is_empty() {
         for v in &summary.violations {
             eprintln!("INVARIANT VIOLATION seed {}: {:?}", v.seed, v.outcome);
@@ -482,37 +345,25 @@ fn run_churn(argv: Vec<String>) {
     }
 }
 
-fn run_parallel3d(argv: Vec<String>) {
-    use adapcc_bench::parallel_bench::{self, ParallelConfig};
-    use adapcc_train::parallel::ParallelLayout;
-    let args = match parse_parallel3d_args(argv) {
-        Ok(a) => a,
-        Err(msg) => {
-            eprintln!("{msg}");
-            std::process::exit(if msg.starts_with("adapcc-sim") { 0 } else { 2 });
-        }
-    };
-    let dp = args.dp().expect("validated at parse time");
-    let cluster = adapcc_simnet::cluster::Cluster::fat_tree(args.servers, args.gpus);
+fn run_parallel3d(run: Run<ParallelConfig>) {
+    let cfg = &run.config;
+    let layout = cfg.layout;
+    let cluster = Cluster::fat_tree(cfg.servers, cfg.gpus_per_server);
     println!(
         "parallel3d: {} servers x {} GPUs fat tree, dp={} tp={} pp={}, {} MiB model, {} rounds max",
-        args.servers, args.gpus, dp, args.tp, args.pp, args.model_mib, args.rounds
+        cfg.servers,
+        cfg.gpus_per_server,
+        layout.dp,
+        layout.tp,
+        layout.pp,
+        cfg.model.as_u64() >> 20,
+        cfg.max_rounds
     );
-    let start = std::time::Instant::now();
-    let (topo, profile, _) = profiled_with_telemetry(&cluster, args.seed, Telemetry::disabled());
-    let cfg = ParallelConfig {
-        servers: args.servers,
-        gpus_per_server: args.gpus,
-        layout: ParallelLayout::new(dp, args.tp, args.pp),
-        model: ByteSize::from_mib(args.model_mib),
-        parallelism: args.parallelism,
-        seed: args.seed,
-        synth: adapcc_synth::solver::SynthConfig::default(),
-        max_rounds: args.rounds,
-    };
-    let report = parallel_bench::run_parallel3d(&cluster, &topo, &profile, &cfg);
-    let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-    if args.verbose {
+    let start = Instant::now();
+    let (topo, profile, _) = profiled_with_telemetry(&cluster, cfg.seed, Telemetry::disabled());
+    let report = parallel_bench::run_parallel3d(&cluster, &topo, &profile, cfg);
+    let wall_ms = wall_ms_since(start);
+    if run.verbose {
         for p in &report.phases {
             println!(
                 "  {:<14} {:>3} groups: executed {:.3} ms oblivious vs {:.3} ms aware \
@@ -539,29 +390,7 @@ fn run_parallel3d(argv: Vec<String>) {
         report.aware_modeled_s() * 1e3,
         wall_ms
     );
-    if let Some(path) = &args.bench_append {
-        let rec = adapcc_bench::record::ParallelBenchRecord {
-            servers: args.servers,
-            gpus_per_server: args.gpus,
-            gpus: args.servers * args.gpus,
-            dp,
-            tp: args.tp,
-            pp: args.pp,
-            model_mib: args.model_mib,
-            parallelism: args.parallelism,
-            seed: args.seed,
-            phases: report.phases.len(),
-            rounds: report.phases.iter().map(|p| p.rounds).sum(),
-            oblivious_modeled_s: report.oblivious_modeled_s(),
-            aware_modeled_s: report.aware_modeled_s(),
-            oblivious_executed_s: obl,
-            aware_executed_s: aware,
-            wall_ms,
-        };
-        if let Err(e) = rec.append_to(std::path::Path::new(path)) {
-            eprintln!("could not append bench record to {path}: {e}");
-            std::process::exit(1);
-        }
-        println!("appended bench record to {path}");
-    }
+    append(run.bench_append.as_deref(), "parallel", || {
+        report.row(cfg, wall_ms)
+    });
 }

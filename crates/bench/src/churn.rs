@@ -40,6 +40,8 @@ use adapcc_simnet::time::{SimDuration, SimTime};
 use adapcc_simnet::units::ByteSize;
 use adapcc_synth::solver::SynthConfig;
 
+use crate::record::Row;
+
 /// Parameters of one churn sweep.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChurnConfig {
@@ -310,6 +312,39 @@ pub struct ChurnSummary {
     pub violations: Vec<ChurnReport>,
     /// Total runs.
     pub total: usize,
+}
+
+impl ChurnSummary {
+    /// The `BENCH_churn.json` row of a sweep of `seeds` seeds from
+    /// `seed_base` under `cfg`, taking `wall_ms` of host time.
+    /// `horizon_ms` is the window as the caller gave it: `cfg.horizon`
+    /// does not round-trip every millisecond value. The sessions never
+    /// force hierarchical synthesis; the `false` column keeps the schema
+    /// uniform with the main and engine rows.
+    pub fn row(
+        &self,
+        cfg: &ChurnConfig,
+        seeds: u64,
+        seed_base: u64,
+        horizon_ms: f64,
+        wall_ms: f64,
+    ) -> Row {
+        Row::new()
+            .int("seeds", seeds)
+            .int("seed_base", seed_base)
+            .int("servers", cfg.servers)
+            .int("size_kib", cfg.tensor.as_u64() / 1024)
+            .float("horizon_ms", horizon_ms, 3)
+            .int("settle_iters", cfg.settle_iters)
+            .int("converged", self.converged)
+            .int("classified", self.classified)
+            .int("violations", self.violations.len())
+            .int("rejoins", self.rejoins)
+            .int("errors", self.errors)
+            .plan_cache(self.plan_hits, self.plan_misses, self.plan_warm_starts)
+            .bool("hierarchical", false)
+            .float("wall_ms", wall_ms, 3)
+    }
 }
 
 /// Sweeps `seeds` consecutive seeds starting at `base`, calling

@@ -1,11 +1,28 @@
 //! Argument parsing for the `adapcc-sim` command-line tool (no
-//! external CLI dependency).
+//! external CLI dependency), plus the main run's bench row.
+//!
+//! Every parser reads its words through one flag reader, so all six
+//! commands take values, integers, numbers, ratios and named choices
+//! the same way. A subcommand parses straight into the config it feeds,
+//! wrapped in a [`Run`] with the run-level flags.
 
-use adapcc_baselines::runner::System;
+use std::str::FromStr;
+
+use adapcc_baselines::runner::{RunReport, System};
+use adapcc_planserve::PlanStats;
 use adapcc_simnet::cluster::{Cluster, ClusterBuilder};
 use adapcc_simnet::hardware::InstanceSpec;
+use adapcc_simnet::time::SimDuration;
 use adapcc_simnet::units::ByteSize;
 use adapcc_synth::Primitive;
+use adapcc_telemetry::Telemetry;
+
+use crate::chaos::ChaosConfig;
+use crate::churn::ChurnConfig;
+use crate::engine_bench::{AllocMode, StormConfig, StormMode};
+use crate::parallel_bench::ParallelConfig;
+use crate::record::Row;
+use crate::service_bench::ServiceWorkload;
 
 /// A parsed `adapcc-sim` invocation.
 #[derive(Debug, Clone, PartialEq)]
@@ -77,6 +94,62 @@ impl Default for SimArgs {
     }
 }
 
+impl ServerKind {
+    const ALL: [ServerKind; 3] = [ServerKind::A100, ServerKind::V100, ServerKind::H100];
+
+    /// The kind's name in a fleet spec.
+    pub fn name(self) -> &'static str {
+        match self {
+            ServerKind::A100 => "a100",
+            ServerKind::V100 => "v100",
+            ServerKind::H100 => "h100",
+        }
+    }
+}
+
+impl SimArgs {
+    /// The fleet as a spec string, e.g. `a100:4,v100:2`.
+    pub fn servers_spec(&self) -> String {
+        self.servers
+            .iter()
+            .map(|(kind, count)| format!("{}:{count}", kind.name()))
+            .collect::<Vec<_>>()
+            .join(",")
+    }
+
+    /// The `--bench-append` row of one finished run. `solver` is the
+    /// telemetry sink of one extra cold synthesis that took
+    /// `solver_wall_ms` of host time (a disabled sink and 0 for baseline
+    /// systems); its `synth.*` counters fill the solver columns.
+    pub fn row(
+        &self,
+        report: &RunReport,
+        cache: &PlanStats,
+        solver: &Telemetry,
+        solver_wall_ms: f64,
+        sim_wall_ms: f64,
+        engine_events_per_sec: f64,
+    ) -> Row {
+        let synth = |name: &str| solver.counter(name) as u64;
+        Row::new()
+            .str("system", self.system.name())
+            .str("primitive", &self.primitive.to_string())
+            .str("servers", &self.servers_spec())
+            .int("tensor_mib", self.tensor.as_u64() / (1024 * 1024))
+            .int("parallelism", self.parallelism)
+            .float("comm_time_ms", report.comm_time.as_millis(), 6)
+            .float("algo_bw_gbytes", report.algo_bw_gbytes, 6)
+            .plan_cache(cache.hits, cache.misses, cache.warm_starts)
+            .float("solver_wall_ms", solver_wall_ms, 3)
+            .int("synth_full_evals", synth("synth.full_evals"))
+            .int("synth_delta_evals", synth("synth.delta_evals"))
+            .int("synth_chains", synth("synth.chains"))
+            .bool("hierarchical", self.hierarchical)
+            .float("sim_wall_ms", sim_wall_ms, 3)
+            .float("engine_events_per_sec", engine_events_per_sec, 1)
+    }
+}
+
 /// The usage string printed on `--help` or a parse error.
 pub fn usage() -> &'static str {
     "adapcc-sim: run one collective on a simulated cluster\n\
@@ -119,33 +192,129 @@ pub fn usage() -> &'static str {
                                  (adapcc-sim parallel3d --help)"
 }
 
-/// A parsed `adapcc-sim chaos` invocation.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ChaosArgs {
-    /// Number of consecutive seeds to sweep.
+/// A parsed subcommand: the config it runs plus the run-level flags.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Run<C> {
+    /// The config the subcommand feeds.
+    pub config: C,
+    /// Consecutive seeds to sweep (`chaos`, `churn`; default 200).
     pub seeds: u64,
-    /// First seed.
+    /// First seed of the sweep (`chaos`, `churn`).
     pub seed_base: u64,
-    /// Homogeneous A100 servers in the chaos cluster.
-    pub servers: usize,
-    /// Per-rank tensor size in KiB for the clock-driving iterations.
-    pub size_kib: u64,
-    /// Fault horizon in simulated milliseconds.
+    /// The fault or churn window in simulated ms as given (`chaos`,
+    /// `churn`). The churn row echoes it, and the config's
+    /// `SimDuration` does not round-trip every millisecond value.
     pub horizon_ms: f64,
-    /// Print every seed's outcome, not just the summary.
+    /// Print every seed's or phase's outcome, not just the summary.
     pub verbose: bool,
+    /// Append a one-line bench row here.
+    pub bench_append: Option<String>,
 }
 
-impl Default for ChaosArgs {
-    fn default() -> Self {
-        ChaosArgs {
+impl<C> Run<C> {
+    fn new(config: C) -> Self {
+        Run {
+            config,
             seeds: 200,
             seed_base: 0,
-            servers: 2,
-            size_kib: 1024,
-            horizon_ms: 2.0,
+            horizon_ms: 0.0,
             verbose: false,
+            bench_append: None,
         }
+    }
+}
+
+/// The flag reader every parser runs on: yields each flag word and
+/// parses the value after it.
+struct Flags<I> {
+    words: I,
+    usage: &'static str,
+}
+
+impl<I: Iterator<Item = String>> Flags<I> {
+    fn new(words: impl IntoIterator<IntoIter = I>, usage: &'static str) -> Self {
+        Flags {
+            words: words.into_iter(),
+            usage,
+        }
+    }
+
+    /// The next flag word; `--help` ends parsing with the usage text.
+    fn flag(&mut self) -> Result<Option<String>, String> {
+        match self.words.next() {
+            Some(word) if word == "--help" || word == "-h" => Err(self.usage.to_string()),
+            word => Ok(word),
+        }
+    }
+
+    /// The error for a flag this command does not take.
+    fn unknown(&self, flag: &str) -> String {
+        format!("unknown flag {flag}\n\n{}", self.usage)
+    }
+
+    /// The word after `flag`.
+    fn value(&mut self, flag: &str) -> Result<String, String> {
+        self.words
+            .next()
+            .ok_or_else(|| format!("{flag} expects a value\n\n{}", self.usage))
+    }
+
+    /// An integer.
+    fn int<T: FromStr>(&mut self, flag: &str) -> Result<T, String> {
+        self.value(flag)?
+            .parse()
+            .map_err(|_| format!("{flag} expects an integer"))
+    }
+
+    /// A positive integer.
+    fn positive<T: FromStr + Default + PartialEq>(&mut self, flag: &str) -> Result<T, String> {
+        let n: T = self.int(flag)?;
+        if n == T::default() {
+            return Err(format!("{flag} must be positive"));
+        }
+        Ok(n)
+    }
+
+    /// A positive count of `unit`-byte units.
+    fn bytes(&mut self, flag: &str, unit: u64) -> Result<ByteSize, String> {
+        let n: u64 = self.positive(flag)?;
+        n.checked_mul(unit)
+            .map(ByteSize::from_bytes)
+            .ok_or_else(|| format!("{flag} is too large"))
+    }
+
+    /// A positive, finite number.
+    fn number(&mut self, flag: &str) -> Result<f64, String> {
+        let x = self.float(flag)?;
+        if !(x > 0.0 && x.is_finite()) {
+            return Err(format!("{flag} must be positive"));
+        }
+        Ok(x)
+    }
+
+    /// A ratio in `0..=1`.
+    fn ratio(&mut self, flag: &str) -> Result<f64, String> {
+        let x = self.float(flag)?;
+        if !(0.0..=1.0).contains(&x) {
+            return Err(format!("{flag} must be in 0..=1"));
+        }
+        Ok(x)
+    }
+
+    fn float(&mut self, flag: &str) -> Result<f64, String> {
+        self.value(flag)?
+            .parse()
+            .map_err(|_| format!("{flag} expects a number"))
+    }
+
+    /// One of `choices`, by name.
+    fn choice<T: Copy>(&mut self, flag: &str, choices: &[(&str, T)]) -> Result<T, String> {
+        let word = self.value(flag)?;
+        if let Some(&(_, choice)) = choices.iter().find(|(name, _)| *name == word) {
+            return Ok(choice);
+        }
+        let names: Vec<&str> = choices.iter().map(|(name, _)| *name).collect();
+        Err(format!("{flag} expects {}, got {word}", names.join(" | ")))
     }
 }
 
@@ -170,76 +339,26 @@ pub fn chaos_usage() -> &'static str {
 ///
 /// Returns a human-readable message for unknown flags or malformed
 /// values (`--help` arrives as an `Err` carrying the usage text).
-pub fn parse_chaos_args<I: IntoIterator<Item = String>>(args: I) -> Result<ChaosArgs, String> {
-    let mut out = ChaosArgs::default();
-    let mut it = args.into_iter();
-    while let Some(arg) = it.next() {
-        let mut value = |flag: &str| {
-            it.next()
-                .ok_or_else(|| format!("{flag} expects a value\n\n{}", chaos_usage()))
-        };
-        let positive = |flag: &str, v: String| -> Result<u64, String> {
-            let n: u64 = v
-                .parse()
-                .map_err(|_| format!("{flag} expects an integer"))?;
-            if n == 0 {
-                return Err(format!("{flag} must be positive"));
-            }
-            Ok(n)
-        };
-        match arg.as_str() {
-            "--help" | "-h" => return Err(chaos_usage().to_string()),
-            "--verbose" => out.verbose = true,
-            "--seeds" => out.seeds = positive("--seeds", value("--seeds")?)?,
-            "--seed-base" => {
-                out.seed_base = value("--seed-base")?
-                    .parse()
-                    .map_err(|_| "--seed-base expects an integer".to_string())?;
-            }
-            "--servers" => out.servers = positive("--servers", value("--servers")?)? as usize,
-            "--size-kib" => out.size_kib = positive("--size-kib", value("--size-kib")?)?,
-            "--horizon-ms" => {
-                let ms: f64 = value("--horizon-ms")?
-                    .parse()
-                    .map_err(|_| "--horizon-ms expects a number".to_string())?;
-                if ms <= 0.0 || ms.is_nan() {
-                    return Err("--horizon-ms must be positive".into());
-                }
-                out.horizon_ms = ms;
-            }
-            other => return Err(format!("unknown flag {other}\n\n{}", chaos_usage())),
+pub fn parse_chaos_args<I: IntoIterator<Item = String>>(
+    args: I,
+) -> Result<Run<ChaosConfig>, String> {
+    let mut run = Run::new(ChaosConfig::default());
+    run.horizon_ms = run.config.horizon.as_millis();
+    let mut f = Flags::new(args, chaos_usage());
+    while let Some(flag) = f.flag()? {
+        let c = &mut run.config;
+        match flag.as_str() {
+            "--verbose" => run.verbose = true,
+            "--seeds" => run.seeds = f.positive(&flag)?,
+            "--seed-base" => run.seed_base = f.int(&flag)?,
+            "--servers" => c.servers = f.positive(&flag)?,
+            "--size-kib" => c.tensor = f.bytes(&flag, 1 << 10)?,
+            "--horizon-ms" => run.horizon_ms = f.number(&flag)?,
+            _ => return Err(f.unknown(&flag)),
         }
     }
-    Ok(out)
-}
-
-/// A parsed `adapcc-sim engine` invocation.
-#[derive(Debug, Clone, PartialEq)]
-pub struct EngineArgs {
-    /// Homogeneous A100 servers in the storm cluster.
-    pub servers: usize,
-    /// Storm waves (each wave is one transfer per server, fully
-    /// drained before the next).
-    pub waves: usize,
-    /// Workload shape: synchronized waves or staggered churn.
-    pub storm: crate::engine_bench::StormMode,
-    /// Allocator selection: exact, incremental, or the executor's
-    /// automatic scale gate.
-    pub alloc: crate::engine_bench::AllocMode,
-    /// Append an `EngineBenchRecord` line here.
-    pub bench_append: Option<String>,
-}
-
-impl Default for EngineArgs {
-    fn default() -> Self {
-        EngineArgs {
-            servers: 32,
-            waves: 4,
-            storm: crate::engine_bench::StormMode::Wave,
-            alloc: crate::engine_bench::AllocMode::Auto,
-            bench_append: None,
-        }
-    }
+    run.config.horizon = SimDuration::from_millis(run.horizon_ms);
+    Ok(run)
 }
 
 /// The usage string for the `engine` subcommand.
@@ -265,99 +384,47 @@ pub fn engine_usage() -> &'static str {
 ///
 /// Returns a human-readable message for unknown flags or malformed
 /// values (`--help` arrives as an `Err` carrying the usage text).
-pub fn parse_engine_args<I: IntoIterator<Item = String>>(args: I) -> Result<EngineArgs, String> {
-    let mut out = EngineArgs::default();
-    let mut it = args.into_iter();
-    while let Some(arg) = it.next() {
-        let mut value = |flag: &str| {
-            it.next()
-                .ok_or_else(|| format!("{flag} expects a value\n\n{}", engine_usage()))
-        };
-        let positive = |flag: &str, v: String| -> Result<usize, String> {
-            let n: usize = v
-                .parse()
-                .map_err(|_| format!("{flag} expects an integer"))?;
-            if n == 0 {
-                return Err(format!("{flag} must be positive"));
-            }
-            Ok(n)
-        };
-        match arg.as_str() {
-            "--help" | "-h" => return Err(engine_usage().to_string()),
-            "--servers" => {
-                out.servers = positive("--servers", value("--servers")?)?;
-                if out.servers < 2 {
-                    return Err("--servers must be at least 2 (the storm is cross-server)".into());
-                }
-            }
-            "--waves" => out.waves = positive("--waves", value("--waves")?)?,
+pub fn parse_engine_args<I: IntoIterator<Item = String>>(
+    args: I,
+) -> Result<Run<StormConfig>, String> {
+    let mut run = Run::new(StormConfig::default());
+    let mut f = Flags::new(args, engine_usage());
+    while let Some(flag) = f.flag()? {
+        let c = &mut run.config;
+        match flag.as_str() {
+            "--servers" => c.servers = f.positive(&flag)?,
+            "--waves" => c.waves = f.positive(&flag)?,
             "--storm" => {
-                out.storm = match value("--storm")?.as_str() {
-                    "wave" => crate::engine_bench::StormMode::Wave,
-                    "churn" => crate::engine_bench::StormMode::Churn,
-                    other => return Err(format!("--storm expects wave or churn, got {other}")),
-                }
+                c.storm = f.choice(
+                    &flag,
+                    &[("wave", StormMode::Wave), ("churn", StormMode::Churn)],
+                )?;
             }
             "--alloc" => {
-                out.alloc = match value("--alloc")?.as_str() {
-                    "exact" => crate::engine_bench::AllocMode::Exact,
-                    "incremental" => crate::engine_bench::AllocMode::Incremental,
-                    "auto" => crate::engine_bench::AllocMode::Auto,
-                    other => {
-                        return Err(format!(
-                            "--alloc expects exact, incremental or auto, got {other}"
-                        ))
-                    }
-                }
+                c.alloc = f.choice(
+                    &flag,
+                    &[
+                        ("exact", AllocMode::Exact),
+                        ("incremental", AllocMode::Incremental),
+                        ("auto", AllocMode::Auto),
+                    ],
+                )?;
             }
-            "--bench-append" => out.bench_append = Some(value("--bench-append")?),
-            other => return Err(format!("unknown flag {other}\n\n{}", engine_usage())),
+            "--bench-append" => run.bench_append = Some(f.value(&flag)?),
+            _ => return Err(f.unknown(&flag)),
         }
     }
-    Ok(out)
-}
-
-/// A parsed `adapcc-sim serve` invocation.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ServeArgs {
-    /// Concurrent jobs (`M`), each one AdapCC session.
-    pub jobs: usize,
-    /// Worker threads (`K`) driving the jobs.
-    pub threads: usize,
-    /// Fraction of jobs repeating canonical fingerprints.
-    pub repeat_ratio: f64,
-    /// Distinct fleet shapes the jobs cycle through.
-    pub shapes: usize,
-    /// Base profiling/synthesis seed.
-    pub seed: u64,
-    /// Service store stripes.
-    pub shards: usize,
-    /// Service byte budget in MiB.
-    pub budget_mib: usize,
-    /// Append a `ServiceBenchRecord` line here.
-    pub bench_append: Option<String>,
-}
-
-impl Default for ServeArgs {
-    fn default() -> Self {
-        ServeArgs {
-            jobs: 32,
-            threads: 8,
-            repeat_ratio: 0.75,
-            shapes: 2,
-            seed: 1,
-            shards: 16,
-            budget_mib: 64,
-            bench_append: None,
-        }
+    if run.config.servers < 2 {
+        return Err("--servers must be at least 2 (the storm is cross-server)".into());
     }
+    Ok(run)
 }
 
 /// The usage string for the `serve` subcommand.
 pub fn serve_usage() -> &'static str {
     "adapcc-sim serve: drive a synthetic many-job workload against one\n\
      shared plan service (sharded store + single-flight admission) and\n\
-     against per-session private caches, and report the speedup\n\
+     against each session's own one-shard service, and report the speedup\n\
      \n\
      options:\n\
        --jobs M             concurrent jobs, one session each (default 32)\n\
@@ -380,85 +447,26 @@ pub fn serve_usage() -> &'static str {
 ///
 /// Returns a human-readable message for unknown flags or malformed
 /// values (`--help` arrives as an `Err` carrying the usage text).
-pub fn parse_serve_args<I: IntoIterator<Item = String>>(args: I) -> Result<ServeArgs, String> {
-    let mut out = ServeArgs::default();
-    let mut it = args.into_iter();
-    while let Some(arg) = it.next() {
-        let mut value = |flag: &str| {
-            it.next()
-                .ok_or_else(|| format!("{flag} expects a value\n\n{}", serve_usage()))
-        };
-        let positive = |flag: &str, v: String| -> Result<usize, String> {
-            let n: usize = v
-                .parse()
-                .map_err(|_| format!("{flag} expects an integer"))?;
-            if n == 0 {
-                return Err(format!("{flag} must be positive"));
-            }
-            Ok(n)
-        };
-        match arg.as_str() {
-            "--help" | "-h" => return Err(serve_usage().to_string()),
-            "--jobs" => out.jobs = positive("--jobs", value("--jobs")?)?,
-            "--threads" => out.threads = positive("--threads", value("--threads")?)?,
-            "--shapes" => out.shapes = positive("--shapes", value("--shapes")?)?,
-            "--shards" => out.shards = positive("--shards", value("--shards")?)?,
-            "--budget-mib" => out.budget_mib = positive("--budget-mib", value("--budget-mib")?)?,
-            "--bench-append" => out.bench_append = Some(value("--bench-append")?),
-            "--seed" => {
-                out.seed = value("--seed")?
-                    .parse()
-                    .map_err(|_| "--seed expects an integer".to_string())?;
-            }
-            "--repeat-ratio" => {
-                let f: f64 = value("--repeat-ratio")?
-                    .parse()
-                    .map_err(|_| "--repeat-ratio expects a number".to_string())?;
-                if !(0.0..=1.0).contains(&f) {
-                    return Err("--repeat-ratio must be in 0..=1".into());
-                }
-                out.repeat_ratio = f;
-            }
-            other => return Err(format!("unknown flag {other}\n\n{}", serve_usage())),
+pub fn parse_serve_args<I: IntoIterator<Item = String>>(
+    args: I,
+) -> Result<Run<ServiceWorkload>, String> {
+    let mut run = Run::new(ServiceWorkload::default());
+    let mut f = Flags::new(args, serve_usage());
+    while let Some(flag) = f.flag()? {
+        let w = &mut run.config;
+        match flag.as_str() {
+            "--jobs" => w.jobs = f.positive(&flag)?,
+            "--threads" => w.threads = f.positive(&flag)?,
+            "--repeat-ratio" => w.repeat_ratio = f.ratio(&flag)?,
+            "--shapes" => w.shapes = f.positive(&flag)?,
+            "--seed" => w.seed = f.int(&flag)?,
+            "--shards" => w.shards = f.positive(&flag)?,
+            "--budget-mib" => w.byte_budget = f.bytes(&flag, 1 << 20)?.as_u64() as usize,
+            "--bench-append" => run.bench_append = Some(f.value(&flag)?),
+            _ => return Err(f.unknown(&flag)),
         }
     }
-    Ok(out)
-}
-
-/// A parsed `adapcc-sim churn` invocation.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ChurnArgs {
-    /// Number of consecutive seeds to sweep.
-    pub seeds: u64,
-    /// First seed.
-    pub seed_base: u64,
-    /// Homogeneous A100 servers in the churn cluster.
-    pub servers: usize,
-    /// Per-rank tensor size in KiB for the clock-driving iterations.
-    pub size_kib: u64,
-    /// Churn horizon in simulated milliseconds.
-    pub horizon_ms: f64,
-    /// Settle iterations past the horizon for probe-driven rejoin.
-    pub settle_iters: usize,
-    /// Print every seed's outcome, not just the summary.
-    pub verbose: bool,
-    /// Append a `ChurnBenchRecord` line here.
-    pub bench_append: Option<String>,
-}
-
-impl Default for ChurnArgs {
-    fn default() -> Self {
-        ChurnArgs {
-            seeds: 200,
-            seed_base: 0,
-            servers: 2,
-            size_kib: 1024,
-            horizon_ms: 2.0,
-            settle_iters: 6,
-            verbose: false,
-            bench_append: None,
-        }
-    }
+    Ok(run)
 }
 
 /// The usage string for the `churn` subcommand.
@@ -486,110 +494,28 @@ pub fn churn_usage() -> &'static str {
 ///
 /// Returns a human-readable message for unknown flags or malformed
 /// values (`--help` arrives as an `Err` carrying the usage text).
-pub fn parse_churn_args<I: IntoIterator<Item = String>>(args: I) -> Result<ChurnArgs, String> {
-    let mut out = ChurnArgs::default();
-    let mut it = args.into_iter();
-    while let Some(arg) = it.next() {
-        let mut value = |flag: &str| {
-            it.next()
-                .ok_or_else(|| format!("{flag} expects a value\n\n{}", churn_usage()))
-        };
-        let positive = |flag: &str, v: String| -> Result<u64, String> {
-            let n: u64 = v
-                .parse()
-                .map_err(|_| format!("{flag} expects an integer"))?;
-            if n == 0 {
-                return Err(format!("{flag} must be positive"));
-            }
-            Ok(n)
-        };
-        match arg.as_str() {
-            "--help" | "-h" => return Err(churn_usage().to_string()),
-            "--verbose" => out.verbose = true,
-            "--seeds" => out.seeds = positive("--seeds", value("--seeds")?)?,
-            "--seed-base" => {
-                out.seed_base = value("--seed-base")?
-                    .parse()
-                    .map_err(|_| "--seed-base expects an integer".to_string())?;
-            }
-            "--servers" => out.servers = positive("--servers", value("--servers")?)? as usize,
-            "--size-kib" => out.size_kib = positive("--size-kib", value("--size-kib")?)?,
-            "--bench-append" => out.bench_append = Some(value("--bench-append")?),
-            "--settle-iters" => {
-                out.settle_iters = positive("--settle-iters", value("--settle-iters")?)? as usize;
-            }
-            "--horizon-ms" => {
-                let ms: f64 = value("--horizon-ms")?
-                    .parse()
-                    .map_err(|_| "--horizon-ms expects a number".to_string())?;
-                if ms <= 0.0 || ms.is_nan() {
-                    return Err("--horizon-ms must be positive".into());
-                }
-                out.horizon_ms = ms;
-            }
-            other => return Err(format!("unknown flag {other}\n\n{}", churn_usage())),
+pub fn parse_churn_args<I: IntoIterator<Item = String>>(
+    args: I,
+) -> Result<Run<ChurnConfig>, String> {
+    let mut run = Run::new(ChurnConfig::default());
+    run.horizon_ms = run.config.horizon.as_millis();
+    let mut f = Flags::new(args, churn_usage());
+    while let Some(flag) = f.flag()? {
+        let c = &mut run.config;
+        match flag.as_str() {
+            "--verbose" => run.verbose = true,
+            "--seeds" => run.seeds = f.positive(&flag)?,
+            "--seed-base" => run.seed_base = f.int(&flag)?,
+            "--servers" => c.servers = f.positive(&flag)?,
+            "--size-kib" => c.tensor = f.bytes(&flag, 1 << 10)?,
+            "--horizon-ms" => run.horizon_ms = f.number(&flag)?,
+            "--settle-iters" => c.settle_iters = f.positive(&flag)?,
+            "--bench-append" => run.bench_append = Some(f.value(&flag)?),
+            _ => return Err(f.unknown(&flag)),
         }
     }
-    Ok(out)
-}
-
-/// A parsed `adapcc-sim parallel3d` invocation.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Parallel3dArgs {
-    /// Fat-tree servers.
-    pub servers: usize,
-    /// GPUs per server.
-    pub gpus: usize,
-    /// Tensor-parallel degree.
-    pub tp: usize,
-    /// Pipeline stages.
-    pub pp: usize,
-    /// Model parameter MiB (sharded over tp*pp).
-    pub model_mib: u64,
-    /// AdapCC parallelism (`M`).
-    pub parallelism: usize,
-    /// Profiling/synthesis seed.
-    pub seed: u64,
-    /// Co-scheduling fix-point sweep cap.
-    pub rounds: usize,
-    /// Print every phase's outcome, not just the step totals.
-    pub verbose: bool,
-    /// Append a `ParallelBenchRecord` line here.
-    pub bench_append: Option<String>,
-}
-
-impl Default for Parallel3dArgs {
-    fn default() -> Self {
-        Parallel3dArgs {
-            servers: 8,
-            gpus: 4,
-            tp: 2,
-            pp: 2,
-            model_mib: 512,
-            parallelism: 4,
-            seed: 1,
-            rounds: 4,
-            verbose: false,
-            bench_append: None,
-        }
-    }
-}
-
-impl Parallel3dArgs {
-    /// The data-parallel degree the fleet leaves after tp and pp:
-    /// `gpus_total / (tp * pp)`.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message when `tp * pp` does not divide the fleet.
-    pub fn dp(&self) -> Result<usize, String> {
-        let world = self.servers * self.gpus;
-        let cell = self.tp * self.pp;
-        if cell == 0 || !world.is_multiple_of(cell) {
-            return Err(format!("tp*pp = {cell} must divide the {world}-GPU fleet"));
-        }
-        Ok(world / cell)
-    }
+    run.config.horizon = SimDuration::from_millis(run.horizon_ms);
+    Ok(run)
 }
 
 /// The usage string for the `parallel3d` subcommand.
@@ -613,7 +539,8 @@ pub fn parallel3d_usage() -> &'static str {
 }
 
 /// Parses `adapcc-sim parallel3d` arguments (everything after the
-/// subcommand word).
+/// subcommand word). The data-parallel degree is what the fleet leaves
+/// after tp and pp: `gpus_total / (tp * pp)`.
 ///
 /// # Errors
 ///
@@ -621,46 +548,32 @@ pub fn parallel3d_usage() -> &'static str {
 /// values (`--help` arrives as an `Err` carrying the usage text).
 pub fn parse_parallel3d_args<I: IntoIterator<Item = String>>(
     args: I,
-) -> Result<Parallel3dArgs, String> {
-    let mut out = Parallel3dArgs::default();
-    let mut it = args.into_iter();
-    while let Some(arg) = it.next() {
-        let mut value = |flag: &str| {
-            it.next()
-                .ok_or_else(|| format!("{flag} expects a value\n\n{}", parallel3d_usage()))
-        };
-        let positive = |flag: &str, v: String| -> Result<u64, String> {
-            let n: u64 = v
-                .parse()
-                .map_err(|_| format!("{flag} expects an integer"))?;
-            if n == 0 {
-                return Err(format!("{flag} must be positive"));
-            }
-            Ok(n)
-        };
-        match arg.as_str() {
-            "--help" | "-h" => return Err(parallel3d_usage().to_string()),
-            "--verbose" => out.verbose = true,
-            "--servers" => out.servers = positive("--servers", value("--servers")?)? as usize,
-            "--gpus" => out.gpus = positive("--gpus", value("--gpus")?)? as usize,
-            "--tp" => out.tp = positive("--tp", value("--tp")?)? as usize,
-            "--pp" => out.pp = positive("--pp", value("--pp")?)? as usize,
-            "--model-mib" => out.model_mib = positive("--model-mib", value("--model-mib")?)?,
-            "--parallelism" => {
-                out.parallelism = positive("--parallelism", value("--parallelism")?)? as usize;
-            }
-            "--seed" => {
-                out.seed = value("--seed")?
-                    .parse()
-                    .map_err(|_| "--seed expects an integer".to_string())?;
-            }
-            "--rounds" => out.rounds = positive("--rounds", value("--rounds")?)? as usize,
-            "--bench-append" => out.bench_append = Some(value("--bench-append")?),
-            other => return Err(format!("unknown flag {other}\n\n{}", parallel3d_usage())),
+) -> Result<Run<ParallelConfig>, String> {
+    let mut run = Run::new(ParallelConfig::default());
+    let mut f = Flags::new(args, parallel3d_usage());
+    while let Some(flag) = f.flag()? {
+        let c = &mut run.config;
+        match flag.as_str() {
+            "--verbose" => run.verbose = true,
+            "--servers" => c.servers = f.positive(&flag)?,
+            "--gpus" => c.gpus_per_server = f.positive(&flag)?,
+            "--tp" => c.layout.tp = f.positive(&flag)?,
+            "--pp" => c.layout.pp = f.positive(&flag)?,
+            "--model-mib" => c.model = f.bytes(&flag, 1 << 20)?,
+            "--parallelism" => c.parallelism = f.positive(&flag)?,
+            "--seed" => c.seed = f.int(&flag)?,
+            "--rounds" => c.max_rounds = f.positive(&flag)?,
+            "--bench-append" => run.bench_append = Some(f.value(&flag)?),
+            _ => return Err(f.unknown(&flag)),
         }
     }
-    out.dp()?;
-    Ok(out)
+    let c = &mut run.config;
+    let (world, cell) = (c.servers * c.gpus_per_server, c.layout.tp * c.layout.pp);
+    if !world.is_multiple_of(cell) {
+        return Err(format!("tp*pp = {cell} must divide the {world}-GPU fleet"));
+    }
+    c.layout.dp = world / cell;
+    Ok(run)
 }
 
 /// Parses command-line style arguments.
@@ -671,82 +584,45 @@ pub fn parse_parallel3d_args<I: IntoIterator<Item = String>>(
 /// values (`--help` also arrives as an `Err` carrying the usage text).
 pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<SimArgs, String> {
     let mut out = SimArgs::default();
-    let mut it = args.into_iter();
-    while let Some(arg) = it.next() {
-        let mut value = |flag: &str| {
-            it.next()
-                .ok_or_else(|| format!("{flag} expects a value\n\n{}", usage()))
-        };
-        match arg.as_str() {
-            "--help" | "-h" => return Err(usage().to_string()),
+    let mut f = Flags::new(args, usage());
+    while let Some(flag) = f.flag()? {
+        match flag.as_str() {
             "--tcp" => out.tcp = true,
             "--describe" => out.describe = true,
             "--hierarchical" => out.hierarchical = true,
-            "--servers" => out.servers = parse_servers(&value("--servers")?)?,
-            "--trace-out" => out.trace_out = Some(value("--trace-out")?),
-            "--metrics-out" => out.metrics_out = Some(value("--metrics-out")?),
-            "--bench-append" => out.bench_append = Some(value("--bench-append")?),
-            "--plan-cache" => out.plan_cache_dir = Some(value("--plan-cache")?),
-            "--seed" => {
-                out.seed = value("--seed")?
-                    .parse()
-                    .map_err(|_| "seed expects an integer".to_string())?;
-            }
-            "--solver-chains" => {
-                let k: usize = value("--solver-chains")?
-                    .parse()
-                    .map_err(|_| "solver-chains expects an integer".to_string())?;
-                if k == 0 {
-                    return Err("solver-chains must be positive".into());
-                }
-                out.solver_chains = k;
-            }
-            "--solver-threads" => {
-                let n: usize = value("--solver-threads")?
-                    .parse()
-                    .map_err(|_| "solver-threads expects an integer".to_string())?;
-                if n == 0 {
-                    return Err("solver-threads must be positive".into());
-                }
-                out.solver_threads = n;
-            }
+            "--servers" => out.servers = parse_servers(&f.value(&flag)?)?,
+            "--trace-out" => out.trace_out = Some(f.value(&flag)?),
+            "--metrics-out" => out.metrics_out = Some(f.value(&flag)?),
+            "--bench-append" => out.bench_append = Some(f.value(&flag)?),
+            "--plan-cache" => out.plan_cache_dir = Some(f.value(&flag)?),
+            "--seed" => out.seed = f.int(&flag)?,
+            "--solver-chains" => out.solver_chains = f.positive(&flag)?,
+            "--solver-threads" => out.solver_threads = f.positive(&flag)?,
+            "--size-mib" => out.tensor = f.bytes(&flag, 1 << 20)?,
+            "--parallelism" => out.parallelism = f.positive(&flag)?,
             "--primitive" => {
-                out.primitive = match value("--primitive")?.as_str() {
-                    "reduce" => Primitive::Reduce,
-                    "broadcast" => Primitive::Broadcast,
-                    "allreduce" => Primitive::AllReduce,
-                    "alltoall" => Primitive::AllToAll,
-                    other => return Err(format!("unknown primitive {other}\n\n{}", usage())),
-                }
-            }
-            "--size-mib" => {
-                let n: u64 = value("--size-mib")?
-                    .parse()
-                    .map_err(|_| "size-mib expects an integer".to_string())?;
-                if n == 0 {
-                    return Err("size-mib must be positive".into());
-                }
-                out.tensor = ByteSize::from_mib(n);
+                out.primitive = f.choice(
+                    &flag,
+                    &[
+                        ("reduce", Primitive::Reduce),
+                        ("broadcast", Primitive::Broadcast),
+                        ("allreduce", Primitive::AllReduce),
+                        ("alltoall", Primitive::AllToAll),
+                    ],
+                )?;
             }
             "--system" => {
-                out.system = match value("--system")?.as_str() {
-                    "adapcc" => System::AdapCc,
-                    "nccl" => System::Nccl,
-                    "msccl" => System::Msccl,
-                    "blink" => System::Blink,
-                    other => return Err(format!("unknown system {other}\n\n{}", usage())),
-                }
+                out.system = f.choice(
+                    &flag,
+                    &[
+                        ("adapcc", System::AdapCc),
+                        ("nccl", System::Nccl),
+                        ("msccl", System::Msccl),
+                        ("blink", System::Blink),
+                    ],
+                )?;
             }
-            "--parallelism" => {
-                let m: usize = value("--parallelism")?
-                    .parse()
-                    .map_err(|_| "parallelism expects an integer".to_string())?;
-                if m == 0 {
-                    return Err("parallelism must be positive".into());
-                }
-                out.parallelism = m;
-            }
-            other => return Err(format!("unknown flag {other}\n\n{}", usage())),
+            _ => return Err(f.unknown(&flag)),
         }
     }
     Ok(out)
@@ -766,12 +642,10 @@ fn parse_servers(spec: &str) -> Result<Vec<(ServerKind, usize)>, String> {
         let (kind, count) = part
             .split_once(':')
             .ok_or_else(|| format!("bad server spec `{part}` (want kind:count)"))?;
-        let kind = match kind {
-            "a100" => ServerKind::A100,
-            "v100" => ServerKind::V100,
-            "h100" => ServerKind::H100,
-            other => return Err(format!("unknown server kind {other}")),
-        };
+        let kind = ServerKind::ALL
+            .into_iter()
+            .find(|k| k.name() == kind)
+            .ok_or_else(|| format!("unknown server kind {kind}"))?;
         let count: usize = count
             .parse()
             .map_err(|_| format!("bad server count in `{part}`"))?;
@@ -937,13 +811,15 @@ mod tests {
         assert_eq!(cluster.instance_count(), 3);
     }
 
-    fn parse_chaos(words: &[&str]) -> Result<ChaosArgs, String> {
+    fn parse_chaos(words: &[&str]) -> Result<Run<ChaosConfig>, String> {
         parse_chaos_args(words.iter().map(|s| s.to_string()))
     }
 
     #[test]
     fn chaos_defaults_and_full_invocation() {
-        assert_eq!(parse_chaos(&[]).unwrap(), ChaosArgs::default());
+        let mut d = Run::new(ChaosConfig::default());
+        d.horizon_ms = 2.0;
+        assert_eq!(parse_chaos(&[]).unwrap(), d);
         let a = parse_chaos(&[
             "--seeds",
             "500",
@@ -960,9 +836,10 @@ mod tests {
         .unwrap();
         assert_eq!(a.seeds, 500);
         assert_eq!(a.seed_base, 100);
-        assert_eq!(a.servers, 3);
-        assert_eq!(a.size_kib, 256);
+        assert_eq!(a.config.servers, 3);
+        assert_eq!(a.config.tensor, ByteSize::from_kib(256));
         assert_eq!(a.horizon_ms, 150.0);
+        assert_eq!(a.config.horizon, SimDuration::from_millis(150.0));
         assert!(a.verbose);
     }
 
@@ -976,13 +853,15 @@ mod tests {
             .contains("--seed-base"));
     }
 
-    fn parse_churn(words: &[&str]) -> Result<ChurnArgs, String> {
+    fn parse_churn(words: &[&str]) -> Result<Run<ChurnConfig>, String> {
         parse_churn_args(words.iter().map(|s| s.to_string()))
     }
 
     #[test]
     fn churn_defaults_and_full_invocation() {
-        assert_eq!(parse_churn(&[]).unwrap(), ChurnArgs::default());
+        let mut d = Run::new(ChurnConfig::default());
+        d.horizon_ms = 2.0;
+        assert_eq!(parse_churn(&[]).unwrap(), d);
         let a = parse_churn(&[
             "--seeds",
             "400",
@@ -1003,21 +882,25 @@ mod tests {
         .unwrap();
         assert_eq!(a.seeds, 400);
         assert_eq!(a.seed_base, 200);
-        assert_eq!(a.servers, 3);
-        assert_eq!(a.size_kib, 512);
+        assert_eq!(a.config.servers, 3);
+        assert_eq!(a.config.tensor, ByteSize::from_kib(512));
         assert_eq!(a.horizon_ms, 4.0);
-        assert_eq!(a.settle_iters, 8);
+        assert_eq!(a.config.horizon, SimDuration::from_millis(4.0));
+        assert_eq!(a.config.settle_iters, 8);
         assert!(a.verbose);
         assert_eq!(a.bench_append.as_deref(), Some("BENCH_churn.json"));
     }
 
-    fn parse_serve(words: &[&str]) -> Result<ServeArgs, String> {
+    fn parse_serve(words: &[&str]) -> Result<Run<ServiceWorkload>, String> {
         parse_serve_args(words.iter().map(|s| s.to_string()))
     }
 
     #[test]
     fn serve_defaults_and_full_invocation() {
-        assert_eq!(parse_serve(&[]).unwrap(), ServeArgs::default());
+        assert_eq!(
+            parse_serve(&[]).unwrap(),
+            Run::new(ServiceWorkload::default())
+        );
         let a = parse_serve(&[
             "--jobs",
             "64",
@@ -1037,13 +920,14 @@ mod tests {
             "BENCH_service.json",
         ])
         .unwrap();
-        assert_eq!(a.jobs, 64);
-        assert_eq!(a.threads, 16);
-        assert_eq!(a.repeat_ratio, 0.5);
-        assert_eq!(a.shapes, 4);
-        assert_eq!(a.seed, 7);
-        assert_eq!(a.shards, 32);
-        assert_eq!(a.budget_mib, 128);
+        let w = &a.config;
+        assert_eq!(w.jobs, 64);
+        assert_eq!(w.threads, 16);
+        assert_eq!(w.repeat_ratio, 0.5);
+        assert_eq!(w.shapes, 4);
+        assert_eq!(w.seed, 7);
+        assert_eq!(w.shards, 32);
+        assert_eq!(w.byte_budget, 128 << 20);
         assert_eq!(a.bench_append.as_deref(), Some("BENCH_service.json"));
     }
 
@@ -1062,16 +946,16 @@ mod tests {
         assert!(usage.contains("serve"), "main usage advertises serve");
     }
 
-    fn parse_engine(words: &[&str]) -> Result<EngineArgs, String> {
+    fn parse_engine(words: &[&str]) -> Result<Run<StormConfig>, String> {
         parse_engine_args(words.iter().map(|s| s.to_string()))
     }
 
     #[test]
     fn engine_defaults_and_full_invocation() {
         let d = parse_engine(&[]).unwrap();
-        assert_eq!(d, EngineArgs::default());
-        assert_eq!(d.storm, crate::engine_bench::StormMode::Wave);
-        assert_eq!(d.alloc, crate::engine_bench::AllocMode::Auto);
+        assert_eq!(d, Run::new(StormConfig::default()));
+        assert_eq!(d.config.storm, StormMode::Wave);
+        assert_eq!(d.config.alloc, AllocMode::Auto);
         let a = parse_engine(&[
             "--servers",
             "128",
@@ -1085,14 +969,14 @@ mod tests {
             "BENCH_engine.json",
         ])
         .unwrap();
-        assert_eq!(a.servers, 128);
-        assert_eq!(a.waves, 8);
-        assert_eq!(a.storm, crate::engine_bench::StormMode::Churn);
-        assert_eq!(a.alloc, crate::engine_bench::AllocMode::Incremental);
+        assert_eq!(a.config.servers, 128);
+        assert_eq!(a.config.waves, 8);
+        assert_eq!(a.config.storm, StormMode::Churn);
+        assert_eq!(a.config.alloc, AllocMode::Incremental);
         assert_eq!(a.bench_append.as_deref(), Some("BENCH_engine.json"));
         let e = parse_engine(&["--storm", "wave", "--alloc", "exact"]).unwrap();
-        assert_eq!(e.storm, crate::engine_bench::StormMode::Wave);
-        assert_eq!(e.alloc, crate::engine_bench::AllocMode::Exact);
+        assert_eq!(e.config.storm, StormMode::Wave);
+        assert_eq!(e.config.alloc, AllocMode::Exact);
     }
 
     #[test]
@@ -1119,5 +1003,62 @@ mod tests {
             .contains("--settle-iters"));
         let usage = parse(&["--help"]).unwrap_err();
         assert!(usage.contains("churn"), "main usage advertises churn");
+    }
+
+    fn parse_parallel3d(words: &[&str]) -> Result<Run<ParallelConfig>, String> {
+        parse_parallel3d_args(words.iter().map(|s| s.to_string()))
+    }
+
+    #[test]
+    fn parallel3d_derives_dp_from_the_fleet() {
+        let d = parse_parallel3d(&[]).unwrap();
+        assert_eq!(d.config.layout, ParallelConfig::default().layout);
+        let a = parse_parallel3d(&[
+            "--servers",
+            "2",
+            "--gpus",
+            "4",
+            "--tp",
+            "2",
+            "--pp",
+            "2",
+            "--model-mib",
+            "64",
+            "--rounds",
+            "2",
+            "--verbose",
+        ])
+        .unwrap();
+        assert_eq!(
+            (a.config.layout.dp, a.config.layout.tp, a.config.layout.pp),
+            (2, 2, 2)
+        );
+        assert_eq!(a.config.model, ByteSize::from_mib(64));
+        assert_eq!(a.config.max_rounds, 2);
+        assert!(a.verbose);
+        assert!(
+            parse_parallel3d(&["--tp", "3"]).is_err(),
+            "3 does not divide 32"
+        );
+        assert!(parse_parallel3d(&["--pp", "0"]).is_err());
+        assert!(parse_parallel3d(&["--banana"]).is_err());
+        assert!(parse_parallel3d(&["--help"])
+            .unwrap_err()
+            .contains("--rounds"));
+    }
+
+    #[test]
+    fn flag_reader_rejects_values_no_config_can_hold() {
+        assert!(parse_churn(&["--horizon-ms", "inf"]).is_err());
+        assert!(parse_chaos(&["--size-kib", "18014398509481984"]).is_err());
+        assert!(parse(&["--size-mib", "17592186044416"]).is_err());
+        let err = parse_engine(&["--alloc", "magic"]).unwrap_err();
+        assert!(err.contains("exact | incremental | auto"), "{err}");
+    }
+
+    #[test]
+    fn servers_spec_round_trips() {
+        let a = parse(&["--servers", "h100:2,a100:1,v100:3"]).unwrap();
+        assert_eq!(a.servers_spec(), "h100:2,a100:1,v100:3");
     }
 }

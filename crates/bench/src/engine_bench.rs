@@ -21,6 +21,8 @@ use adapcc_simnet::engine::{NetSim, SimEvent};
 use adapcc_simnet::time::SimDuration;
 use adapcc_simnet::units::ByteSize;
 
+use crate::record::Row;
+
 /// Workload shape for [`engine_storm`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StormMode {
@@ -75,6 +77,34 @@ impl AllocMode {
     }
 }
 
+/// One `adapcc-sim engine` storm: a homogeneous A100 fleet and the
+/// [`engine_storm`] workload run on it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StormConfig {
+    /// Homogeneous A100 servers (at least two: the storm is
+    /// cross-server).
+    pub servers: usize,
+    /// Storm waves (each wave is one transfer per server, fully
+    /// drained before the next).
+    pub waves: usize,
+    /// Workload shape: synchronized waves or staggered churn.
+    pub storm: StormMode,
+    /// Allocator selection: exact, incremental, or the executor's
+    /// automatic scale gate.
+    pub alloc: AllocMode,
+}
+
+impl Default for StormConfig {
+    fn default() -> Self {
+        StormConfig {
+            servers: 32,
+            waves: 4,
+            storm: StormMode::Wave,
+            alloc: AllocMode::Auto,
+        }
+    }
+}
+
 /// Result of one [`engine_storm`] run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EngineStormReport {
@@ -103,6 +133,37 @@ impl EngineStormReport {
             return 0.0;
         }
         self.events as f64 / (self.wall_ms / 1e3)
+    }
+
+    /// The allocator that ran: `incremental` or `exact`.
+    pub fn alloc_name(&self) -> &'static str {
+        if self.incremental {
+            "incremental"
+        } else {
+            "exact"
+        }
+    }
+
+    /// The `BENCH_engine.json` row of this storm, run as `cfg` on a
+    /// fleet of `gpus` GPUs. The storm never synthesizes: its zero
+    /// plan-cache columns and `false` `hierarchical` keep engine rows
+    /// schema-uniform with the main and churn rows.
+    pub fn row(&self, cfg: &StormConfig, gpus: usize) -> Row {
+        Row::new()
+            .str("servers", &format!("a100:{}", cfg.servers))
+            .int("gpus", gpus)
+            .int("waves", cfg.waves)
+            .str("storm", cfg.storm.as_str())
+            .str("alloc", self.alloc_name())
+            .int("transfers", self.transfers)
+            .int("events", self.events)
+            .float("sim_ms", self.sim_ms, 6)
+            .float("wall_ms", self.wall_ms, 3)
+            .float("events_per_sec", self.events_per_sec(), 1)
+            .int("fillings", self.fillings)
+            .int("frontier_flows", self.frontier_flows)
+            .plan_cache(0, 0, 0)
+            .bool("hierarchical", false)
     }
 }
 

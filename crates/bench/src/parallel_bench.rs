@@ -21,6 +21,8 @@ use adapcc_synth::solver::SynthConfig;
 use adapcc_topo::logical::LogicalTopology;
 use adapcc_train::parallel::ParallelLayout;
 
+use crate::record::Row;
+
 /// One parallel3d run, ready to benchmark.
 #[derive(Debug, Clone)]
 pub struct ParallelConfig {
@@ -40,6 +42,23 @@ pub struct ParallelConfig {
     pub synth: SynthConfig,
     /// Fix-point sweep cap for the aware variant.
     pub max_rounds: usize,
+}
+
+impl Default for ParallelConfig {
+    /// `adapcc-sim parallel3d`'s defaults: 8 servers x 4 GPUs as dp=8,
+    /// tp=2, pp=2, a 512 MiB model, `M` = 4, seed 1, 4 sweeps.
+    fn default() -> Self {
+        ParallelConfig {
+            servers: 8,
+            gpus_per_server: 4,
+            layout: ParallelLayout::new(8, 2, 2),
+            model: ByteSize::from_mib(512),
+            parallelism: 4,
+            seed: 1,
+            synth: SynthConfig::default(),
+            max_rounds: 4,
+        }
+    }
 }
 
 /// One phase's modeled and executed outcomes under both variants.
@@ -89,6 +108,32 @@ impl ParallelReport {
     /// Modeled step time under contention-aware co-scheduling.
     pub fn aware_modeled_s(&self) -> f64 {
         self.phases.iter().map(|p| p.aware_modeled_s).sum()
+    }
+
+    /// The `BENCH_parallel.json` row of this step, run as `cfg` in
+    /// `wall_ms` of host time: both variants' modeled and executed step
+    /// times, so the contention win is self-contained.
+    pub fn row(&self, cfg: &ParallelConfig, wall_ms: f64) -> Row {
+        Row::new()
+            .int("servers", cfg.servers)
+            .int("gpus_per_server", cfg.gpus_per_server)
+            .int("gpus", cfg.servers * cfg.gpus_per_server)
+            .int("dp", cfg.layout.dp)
+            .int("tp", cfg.layout.tp)
+            .int("pp", cfg.layout.pp)
+            .int("model_mib", cfg.model.as_u64() >> 20)
+            .int("parallelism", cfg.parallelism)
+            .int("seed", cfg.seed)
+            .int("phases", self.phases.len())
+            .int(
+                "rounds",
+                self.phases.iter().map(|p| p.rounds).sum::<usize>(),
+            )
+            .float("oblivious_modeled_s", self.oblivious_modeled_s(), 6)
+            .float("aware_modeled_s", self.aware_modeled_s(), 6)
+            .float("oblivious_executed_s", self.oblivious_executed_s(), 6)
+            .float("aware_executed_s", self.aware_executed_s(), 6)
+            .float("wall_ms", wall_ms, 3)
     }
 }
 

@@ -29,6 +29,7 @@ use adapcc_simnet::units::ByteSize;
 use adapcc_synth::Primitive;
 
 use crate::harness::percentile;
+use crate::record::Row;
 
 /// The synthetic many-job workload.
 #[derive(Debug, Clone, PartialEq)]
@@ -70,7 +71,8 @@ impl Default for ServiceWorkload {
     }
 }
 
-/// One pass's outcome (service-backed or private-cache baseline).
+/// One pass's outcome (shared service, or the baseline of one-shard
+/// services, one per session).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ModeReport {
     /// `strategy_for_root` calls issued (herd prologue included).
@@ -91,7 +93,8 @@ pub struct ModeReport {
     /// Cold solves.
     pub cold_solves: u64,
     /// Requests coalesced onto another thread's in-flight solve
-    /// (always 0 for the baseline: private caches cannot coalesce).
+    /// (always 0 for the baseline: a session's own service sees only
+    /// its own requests).
     pub coalesced: u64,
 }
 
@@ -100,7 +103,8 @@ pub struct ModeReport {
 pub struct ServiceBenchReport {
     /// The shared-service pass.
     pub service: ModeReport,
-    /// The per-session private-cache pass of the identical workload.
+    /// The identical workload with each session on its own one-shard
+    /// service.
     pub baseline: ModeReport,
     /// Entries left in the service store.
     pub entries: u64,
@@ -251,8 +255,9 @@ fn run_mode(w: &ServiceWorkload, service: Option<&Arc<PlanService>>) -> ModeRepo
         }
         None => {
             let s = cache_stats.into_inner().expect("stats lock");
-            // Private caches see every request exactly once, so every
-            // miss is a cold solve and nothing can coalesce.
+            // Each session's own service sees every request exactly
+            // once, so every miss is a cold solve and nothing can
+            // coalesce.
             (s.hits, s.warm_starts, s.misses, 0)
         }
     };
@@ -269,8 +274,39 @@ fn run_mode(w: &ServiceWorkload, service: Option<&Arc<PlanService>>) -> ModeRepo
     }
 }
 
-/// Runs the workload twice — shared service, then private-cache
-/// baseline — and reports both plus the plans/sec speedup.
+impl ServiceBenchReport {
+    /// The `BENCH_service.json` row of this comparison over workload
+    /// `w`: the service pass, then the baseline pass, then the speedup.
+    pub fn row(&self, w: &ServiceWorkload) -> Row {
+        let (s, b) = (&self.service, &self.baseline);
+        Row::new()
+            .int("jobs", w.jobs)
+            .int("threads", w.threads)
+            .float("repeat_ratio", w.repeat_ratio, 2)
+            .int("shapes", w.shapes)
+            .int("requests", s.requests)
+            .int("hits", s.hits)
+            .int("warm_starts", s.warm_starts)
+            .int("cold_solves", s.cold_solves)
+            .int("coalesced", s.coalesced)
+            .int("entries", self.entries)
+            .int("bytes", self.bytes)
+            .int("evictions", self.evictions)
+            .float("plans_per_sec", s.plans_per_sec, 1)
+            .float("p50_us", s.p50_us, 1)
+            .float("p99_us", s.p99_us, 1)
+            .float("wall_ms", s.wall_ms, 3)
+            .float("baseline_plans_per_sec", b.plans_per_sec, 1)
+            .float("baseline_p50_us", b.p50_us, 1)
+            .float("baseline_p99_us", b.p99_us, 1)
+            .float("baseline_wall_ms", b.wall_ms, 3)
+            .float("speedup", self.speedup, 2)
+    }
+}
+
+/// Runs the workload twice — shared service, then the baseline of
+/// per-session one-shard services — and reports both plus the
+/// plans/sec speedup.
 pub fn run_service_bench(w: &ServiceWorkload) -> ServiceBenchReport {
     let service = Arc::new(PlanService::new(ServiceConfig {
         shards: w.shards.max(1),

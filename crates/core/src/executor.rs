@@ -1855,64 +1855,3 @@ mod tests {
         }
     }
 }
-
-#[cfg(test)]
-mod tcp_debug {
-    use super::*;
-    use adapcc_profile::profiler::Profiler;
-    use adapcc_synth::cost::CostModel;
-    use adapcc_synth::solver::{SynthRequest, Synthesizer};
-    use adapcc_topo::detect::Detector;
-
-    #[test]
-    #[ignore]
-    fn diag() {
-        let mut b = adapcc_simnet::cluster::ClusterBuilder::new();
-        b.add_instances(
-            adapcc_simnet::hardware::InstanceSpec::a100_server().with_tcp(),
-            4,
-        );
-        let c = b.build();
-        let topo = Detector::new(&c, 1).run().logical_topology(&c);
-        let profile = Profiler::new(&c, &topo, 1).without_noise().run().links;
-        let ranks: Vec<Rank> = (0..16).map(Rank).collect();
-        let tensor = ByteSize::from_mib(64);
-        let exec = Executor::new(&c, &topo);
-        let model = CostModel::new(&topo, &profile);
-        for m in [1usize, 2, 4, 8] {
-            let s = Synthesizer::new(&topo, &profile).synthesize(&SynthRequest::new(
-                Primitive::AllReduce,
-                tensor,
-                m,
-                ranks.clone(),
-            ));
-            let t = exec
-                .execute(&[ExecutionRequest::timing(&s, tensor)])
-                .finish
-                .as_secs();
-            let pred = model.evaluate(&s, tensor).completion.as_secs();
-            let chunks: Vec<u64> = s.subs.iter().map(|x| x.chunk.as_u64() / 1024).collect();
-            let fracs: Vec<f64> = s
-                .subs
-                .iter()
-                .map(|x| (x.fraction * 100.0).round() / 100.0)
-                .collect();
-            let flows0 = s.subs[0].flows.len();
-            println!("M={m} exec={t:.4}s pred={pred:.4}s chunksKiB={chunks:?} fracs={fracs:?} flows/sub={flows0}");
-        }
-        // check network edge profile
-        for e in topo
-            .edges_of_kind(adapcc_topo::logical::EdgeKind::Network)
-            .iter()
-            .take(2)
-        {
-            let ab = profile.get(*e).unwrap();
-            println!(
-                "net edge: stream={:.1}Gbps port={:.1}Gbps alpha={:.1}us",
-                ab.bandwidth().as_gbps(),
-                ab.port_bandwidth().as_gbps(),
-                ab.alpha_secs * 1e6
-            );
-        }
-    }
-}

@@ -2,9 +2,9 @@
 //!
 //! The workspace's `serde` is an offline no-op stand-in (derives
 //! compile but emit nothing), so — like the telemetry exporters and
-//! `bench/record.rs` — the disk tier writes its JSON by hand with a
-//! fixed field order, making entry files byte-deterministic for
-//! identical plans. Floating-point fields (`fraction`) are stored as
+//! the bench rows (`adapcc_bench::record::Row`) — the disk tier writes
+//! its JSON by hand with a fixed field order, making entry files
+//! byte-deterministic for identical plans. Floating-point fields (`fraction`) are stored as
 //! IEEE-754 bit patterns in hex so they round-trip exactly.
 
 use std::collections::BTreeMap;

@@ -1627,52 +1627,3 @@ mod tests {
         }
     }
 }
-
-#[cfg(test)]
-mod diag {
-    use super::*;
-    use crate::cost::CostModel;
-    use adapcc_profile::profiler::Profiler;
-    use adapcc_simnet::cluster::Cluster;
-    use adapcc_topo::detect::Detector;
-
-    #[test]
-    #[ignore]
-    fn candidate_costs() {
-        let c = Cluster::heterogeneous_2a100_2v100();
-        let topo = Detector::new(&c, 1).run().logical_topology(&c);
-        let profile = Profiler::new(&c, &topo, 1).without_noise().run().links;
-        let req = SynthRequest::new(
-            Primitive::AllReduce,
-            adapcc_simnet::units::ByteSize::from_mib(528),
-            4,
-            (0..16).map(Rank).collect(),
-        );
-        let synth = Synthesizer::new(&topo, &profile);
-        let model = CostModel::new(&topo, &profile);
-        let by_inst = group_by_instance(&topo, &req.participants);
-        let hubs: BTreeMap<InstanceId, Vec<Rank>> = BTreeMap::new();
-        let insts: Vec<InstanceId> = by_inst.keys().copied().collect();
-        let root_inst = insts[0];
-        let root = by_inst[&root_inst][0];
-        for shape in [TreeShape::Star, TreeShape::Binary, TreeShape::Chain] {
-            for multi in [false, true] {
-                let plan = synth.initial_plan(&req, &by_inst, &hubs, root, root_inst, shape, multi);
-                match synth.realize_plan(&plan, &req, &by_inst, &hubs) {
-                    Some(s) => match s.validate(&topo) {
-                        Ok(()) => {
-                            let est = model.evaluate(&s, req.tensor);
-                            let per: Vec<f64> = est.per_sub.iter().map(|d| d.as_millis()).collect();
-                            println!(
-                                "{shape:?} multi={multi}: {:.1}ms per_sub={per:?}",
-                                est.completion.as_millis()
-                            );
-                        }
-                        Err(e) => println!("{shape:?} multi={multi}: INVALID {e:?}"),
-                    },
-                    None => println!("{shape:?} multi={multi}: UNREALIZABLE"),
-                }
-            }
-        }
-    }
-}

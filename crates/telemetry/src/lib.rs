@@ -270,8 +270,8 @@ impl Telemetry {
         for s in &spans {
             events.push(format!(
                 "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":1,\"tid\":{}}}",
-                escape(&s.name),
-                escape(&s.track),
+                json_escape(&s.name),
+                json_escape(&s.track),
                 fmt_us(s.start_secs),
                 fmt_us(s.end_secs - s.start_secs),
                 track_tids[s.track.as_str()],
@@ -281,7 +281,7 @@ impl Telemetry {
             events.push(format!(
                 "{{\"name\":\"{}\",\"cat\":\"flow\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":2,\"tid\":{},\
                  \"args\":{{\"bytes\":{},\"request\":{},\"sub\":{},\"chunk\":{},\"queue_us\":{}}}}}",
-                escape(&f.link),
+                json_escape(&f.link),
                 fmt_us(f.start_secs),
                 fmt_us(f.transmit_secs()),
                 link_tids[f.link.as_str()],
@@ -309,7 +309,7 @@ impl Telemetry {
         let mut out = String::from("{\n  \"counters\": {");
         let entries: Vec<String> = counters
             .iter()
-            .map(|(k, v)| format!("\"{}\": {}", escape(k), fmt_num(*v)))
+            .map(|(k, v)| format!("\"{}\": {}", json_escape(k), fmt_num(*v)))
             .collect();
         out.push_str(&entries.join(", "));
         out.push_str("},\n  \"phases\": [");
@@ -318,8 +318,8 @@ impl Telemetry {
             .map(|s| {
                 format!(
                     "{{\"name\": \"{}\", \"track\": \"{}\", \"start_us\": {}, \"dur_us\": {}}}",
-                    escape(&s.name),
-                    escape(&s.track),
+                    json_escape(&s.name),
+                    json_escape(&s.track),
                     fmt_us(s.start_secs),
                     fmt_us(s.end_secs - s.start_secs),
                 )
@@ -362,7 +362,7 @@ impl Telemetry {
                 format!(
                     "{{\"link\": \"{}\", \"flows\": {}, \"bytes\": {}, \"busy_us\": {}, \
                      \"queue_us\": {}, \"utilization\": {}}}",
-                    escape(link),
+                    json_escape(link),
                     a.flows,
                     a.bytes,
                     fmt_us(a.busy_secs),
@@ -416,8 +416,10 @@ fn fmt_num(v: f64) -> String {
     }
 }
 
-/// Minimal JSON string escaping.
-fn escape(s: &str) -> String {
+/// Escapes `s` for a JSON string literal: quotes, backslashes and
+/// every control character. The workspace's one line-JSON escaper,
+/// shared by the exporters here and the bench rows.
+pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
@@ -562,8 +564,8 @@ mod tests {
 
     #[test]
     fn json_strings_are_escaped() {
-        assert_eq!(escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(escape("\u{1}"), "\\u0001");
+        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+        assert_eq!(json_escape("\u{1}"), "\\u0001");
         let t = Telemetry::enabled();
         t.span("we\"ird", "ph\\ase", 0.0, 1.0);
         let json = t.chrome_trace();

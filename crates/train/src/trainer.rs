@@ -424,30 +424,3 @@ mod tests {
         assert!((r.throughput - expect).abs() / expect < 1e-9);
     }
 }
-
-#[cfg(test)]
-mod diag {
-    use super::*;
-
-    #[test]
-    #[ignore]
-    fn vgg_hetero_breakdown() {
-        let c = Cluster::heterogeneous_2a100_2v100();
-        for backend in [
-            Backend::AdapCcAdaptive,
-            Backend::AdapCcWaitAll,
-            Backend::Baseline(System::Nccl),
-            Backend::Baseline(System::Msccl),
-        ] {
-            let r = train(&c, &TrainConfig::new(DnnModel::Vgg16, backend, 10));
-            let partials = r.iterations.iter().filter(|i| i.partial).count();
-            println!(
-                "{:<12} comm={:.1}ms iter={:.1}ms tput={:.0} partials={partials}",
-                backend.name(),
-                r.mean_comm_secs * 1e3,
-                r.iterations.iter().map(|i| i.iteration_secs).sum::<f64>() / 10.0 * 1e3,
-                r.throughput
-            );
-        }
-    }
-}
