@@ -19,38 +19,33 @@ pub struct SlotOutput {
     pub outputs: Option<BTreeMap<Rank, Vec<f32>>>,
 }
 
-/// Assembles the final per-worker output buffers for a fanned-out
-/// collective. `survivors` are the workers that still receive
+/// Assembles the final per-worker output buffers of a collective.
+/// `survivors` are the workers that still receive
 /// outputs (faulty workers are dropped); `elems` is the per-slot f32
 /// element count; `inputs` are the caller's original buffers (a slot
 /// owner's own contribution never rides the wire back to it). Slots
 /// whose sub was dropped by fault exclusion are zero-filled in
-/// concatenating rules.
+/// concatenating rules. The slots are consumed: `Identity` and the
+/// owner rules move their buffers into the result.
 pub fn assemble(
     rule: AssembleRule,
     survivors: &[Rank],
     root: Option<Rank>,
     elems: usize,
     inputs: &BTreeMap<Rank, Vec<f32>>,
-    slots: &[SlotOutput],
+    slots: Vec<SlotOutput>,
 ) -> BTreeMap<Rank, Vec<f32>> {
     let mut out: BTreeMap<Rank, Vec<f32>> = BTreeMap::new();
     match rule {
         AssembleRule::Identity => {
-            for slot in slots {
-                if let Some(m) = &slot.outputs {
-                    for (r, buf) in m {
-                        out.insert(*r, buf.clone());
-                    }
-                }
-            }
+            out.extend(slots.into_iter().filter_map(|s| s.outputs).flatten());
             out.retain(|r, _| survivors.contains(r));
         }
         AssembleRule::ConcatSlots => {
             let width = slots.iter().map(|s| s.slot + 1).max().unwrap_or(0);
             for w in survivors {
                 let mut buf = vec![0.0f32; elems * width];
-                for slot in slots {
+                for slot in &slots {
                     let src: Option<&Vec<f32>> = if *w == slot.owner {
                         inputs.get(w)
                     } else {
@@ -64,14 +59,7 @@ pub fn assemble(
             }
         }
         AssembleRule::OwnerShard => {
-            for slot in slots {
-                if !survivors.contains(&slot.owner) {
-                    continue;
-                }
-                if let Some(buf) = slot.outputs.as_ref().and_then(|m| m.get(&slot.owner)) {
-                    out.insert(slot.owner, buf.clone());
-                }
-            }
+            out.extend(owner_buffers(survivors, slots));
         }
         AssembleRule::ConcatAtRoot => {
             let root = root.expect("validated: root-directed assembly has a root");
@@ -86,7 +74,7 @@ pub fn assemble(
                 let j = root_slot(survivors, root);
                 buf[j * elems..(j + 1) * elems].copy_from_slice(own);
             }
-            for slot in slots {
+            for slot in &slots {
                 if let Some(src) = slot.outputs.as_ref().and_then(|m| m.get(&root)) {
                     buf[slot.slot * elems..(slot.slot + 1) * elems].copy_from_slice(src);
                 }
@@ -97,14 +85,7 @@ pub fn assemble(
         }
         AssembleRule::OwnerSlice => {
             let root = root.expect("validated: root-directed assembly has a root");
-            for slot in slots {
-                if !survivors.contains(&slot.owner) {
-                    continue;
-                }
-                if let Some(buf) = slot.outputs.as_ref().and_then(|m| m.get(&slot.owner)) {
-                    out.insert(slot.owner, buf.clone());
-                }
-            }
+            out.extend(owner_buffers(survivors, slots));
             if survivors.contains(&root) {
                 if let Some(own) = inputs.get(&root) {
                     let j = root_slot(survivors, root);
@@ -114,6 +95,17 @@ pub fn assemble(
         }
     }
     out
+}
+
+/// Each surviving slot owner's own buffer out of its slot's outputs.
+fn owner_buffers(
+    survivors: &[Rank],
+    slots: Vec<SlotOutput>,
+) -> impl Iterator<Item = (Rank, Vec<f32>)> + '_ {
+    slots.into_iter().filter_map(|s| {
+        let buf = s.outputs?.remove(&s.owner)?;
+        survivors.contains(&s.owner).then_some((s.owner, buf))
+    })
 }
 
 /// The root's slot index: its position in the rank-ordered worker
@@ -152,7 +144,7 @@ mod tests {
             None,
             2,
             &inputs,
-            &slots,
+            slots,
         );
         assert_eq!(out[&Rank(0)], vec![1.0, 1.0, 2.0, 2.0]);
         assert_eq!(out[&Rank(1)], vec![1.0, 1.0, 2.0, 2.0]);
@@ -169,7 +161,7 @@ mod tests {
             Some(Rank(1)),
             1,
             &inputs,
-            &slots,
+            slots,
         );
         assert_eq!(out.len(), 1, "only the root receives");
         assert_eq!(out[&Rank(1)], vec![3.0, 5.0, 7.0]);
@@ -192,7 +184,7 @@ mod tests {
             None,
             1,
             &BTreeMap::new(),
-            &slots,
+            slots,
         );
         assert_eq!(out.len(), 1);
         assert_eq!(out[&Rank(0)], vec![1.0]);

@@ -17,10 +17,10 @@
 //! - [`assemble`] — per-sub outputs → the collective's result buffers
 //! - [`report`] — the [`IterationReport`] every entry point returns
 //! - `pipeline` — the staged plan → relay → execute → assemble →
-//!   report orchestration (private; reached via the session entry
-//!   points)
-//! - `partial` — the phase-1 / phase-2 execution paths behind a
-//!   `Partial` relay decision (private)
+//!   report orchestration and the wait-all executor (private; reached
+//!   via the session entry points)
+//! - `partial` — the phase-1 / phase-2 executor behind a `Partial`
+//!   relay decision (private)
 
 pub mod assemble;
 mod partial;

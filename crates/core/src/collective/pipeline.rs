@@ -34,41 +34,53 @@ pub(super) struct Planned<'s> {
     pub(super) strategies: Vec<Vec<Strategy>>,
 }
 
-/// The `Partial` decision's fields, bundled for the execution helpers.
-/// The decision's relay *assignment* stays behind in the coordinator's
-/// stats: execution derives the late set from the active set, so a
-/// straggler's data arrives in phase 2 whether or not it was eligible
-/// to be assigned as a relay.
-pub(super) struct PartialPlan<'d> {
-    pub(super) start: SimTime,
-    pub(super) active: &'d [Rank],
-}
-
-/// What one execution path produced: the completion instant, either
-/// ready-made outputs (single-strategy paths) or per-slot outputs for
-/// the assemble stage, and any workers declared faulty.
+/// What one execution produced: the completion instant, the per-slot
+/// outputs the assemble stage turns into the result, and any workers
+/// declared faulty.
 pub(super) struct ExecOutcome {
     pub(super) finish: SimTime,
-    pub(super) outputs: Option<BTreeMap<Rank, Vec<f32>>>,
     pub(super) slots: Vec<SlotOutput>,
     pub(super) faults: Vec<Rank>,
 }
 
-impl ExecOutcome {
-    pub(super) fn done(finish: SimTime, outputs: BTreeMap<Rank, Vec<f32>>) -> Self {
-        ExecOutcome {
-            finish,
-            outputs: Some(outputs),
-            slots: Vec::new(),
-            faults: Vec::new(),
-        }
+impl Planned<'_> {
+    /// Requests for sub-collectives `subs` of stage `i`, each gated by
+    /// `ready` and fed its slice of `inputs`.
+    pub(super) fn requests(
+        &self,
+        i: usize,
+        subs: impl IntoIterator<Item = usize>,
+        ready: &BTreeMap<Rank, SimTime>,
+        inputs: Option<&BTreeMap<Rank, Vec<f32>>>,
+    ) -> Vec<ExecutionRequest<'_>> {
+        let stage = &self.stages[i];
+        subs.into_iter()
+            .map(|j| {
+                let sub = &stage.subs[j];
+                let req = ExecutionRequest::timing(&self.strategies[i][j], sub.tensor)
+                    .with_ready(ready.clone());
+                match inputs {
+                    Some(inp) => req.with_inputs(stage.sub_inputs(sub, inp, self.root)),
+                    None => req,
+                }
+            })
+            .collect()
     }
-}
 
-fn decision_start(decision: &Decision) -> SimTime {
-    match decision {
-        Decision::WaitAll { start } => *start,
-        Decision::Partial { start, .. } => *start,
+    /// Sub-collective `j` of stage `i`'s outputs, tagged with its slot.
+    pub(super) fn slot(
+        &self,
+        i: usize,
+        j: usize,
+        outputs: Option<BTreeMap<Rank, Vec<f32>>>,
+        workers: &[Rank],
+    ) -> SlotOutput {
+        let sub = &self.stages[i].subs[j];
+        SlotOutput {
+            owner: sub.owner.or(sub.root).unwrap_or(workers[0]),
+            slot: sub.slot,
+            outputs,
+        }
     }
 }
 
@@ -84,6 +96,11 @@ impl<'c> AdapCC<'c> {
         ready: &BTreeMap<Rank, SimTime>,
         inputs: Option<&BTreeMap<Rank, Vec<f32>>>,
     ) -> Result<IterationReport, AdapCCError> {
+        if !self.communicator.is_set_up() {
+            return Err(AdapCCError::InvalidRequest(
+                "the communicator is not set up: call setup() before any collective".to_string(),
+            ));
+        }
         if let Some(r) = root {
             if !self.workers.contains(&r) {
                 return Err(AdapCCError::InvalidRequest(format!(
@@ -96,8 +113,8 @@ impl<'c> AdapCC<'c> {
         // The workers this collective spans: the active process group's
         // members (intersected with the live worker set), or the whole
         // job when unscoped.
-        let scope_workers = self.scope_workers();
-        if scope_workers.is_empty() {
+        let workers = self.scope_workers();
+        if workers.is_empty() {
             return Err(AdapCCError::InvalidRequest(
                 "the collective's process group has no surviving members".to_string(),
             ));
@@ -107,12 +124,12 @@ impl<'c> AdapCC<'c> {
         // loop) contributes a zero tensor until the trainer reshards —
         // indexing a missing rank deep in the executor would panic.
         let filled: Option<BTreeMap<Rank, Vec<f32>>> = inputs.and_then(|m| {
-            if scope_workers.iter().all(|r| m.contains_key(r)) {
+            if workers.iter().all(|r| m.contains_key(r)) {
                 return None;
             }
             let elems = (tensor.as_u64() / 4) as usize;
             let mut m2 = m.clone();
-            for r in &scope_workers {
+            for r in &workers {
                 m2.entry(*r).or_insert_with(|| vec![0.0; elems]);
             }
             Some(m2)
@@ -125,11 +142,10 @@ impl<'c> AdapCC<'c> {
 
         // Plan: lower the spec, synthesize every stage strategy.
         let planned = self.plan_collective(spec, root, tensor, &tel)?;
-        let workers = scope_workers;
 
         // Relay: consult (or bypass) the ski-rental coordinator.
         let (decision, first, eff) = self.decide_relay(&planned, ready, &workers);
-        let start = decision_start(&decision);
+        let (Decision::WaitAll { start } | Decision::Partial { start, .. }) = decision;
         tel.span(
             "collective.relay",
             "collective",
@@ -137,37 +153,15 @@ impl<'c> AdapCC<'c> {
             start.as_secs(),
         );
 
-        // Execute: wait-all (queued, cached or staged) or partial.
+        // Execute: every stage waits for all workers, or the single
+        // stage runs phase 1 among the ready workers and phase 2 for
+        // the stragglers.
         let outcome = match &decision {
-            Decision::WaitAll { start } => {
-                if planned.spec.queue {
-                    self.execute_queued(&planned, ready, inputs)?
-                } else if matches!(
-                    planned.spec.relay,
-                    RelayPolicy::Adaptive {
-                        missing_is_fault: true
-                    }
-                ) {
-                    self.execute_adaptive_waitall(&planned, *start, ready, inputs)?
-                } else {
-                    self.execute_stages(&planned, ready, inputs)?
-                }
+            Decision::WaitAll { .. } => {
+                self.execute_wait_all(&planned, start, ready, &workers, inputs)?
             }
-            Decision::Partial {
-                start,
-                ready: active,
-                ..
-            } => {
-                let partial = PartialPlan {
-                    start: *start,
-                    active,
-                };
-                match planned.stages[0].fanout {
-                    Fanout::Single => {
-                        self.execute_partial_single(&planned, &partial, ready, inputs)?
-                    }
-                    _ => self.execute_partial_fanout(&planned, &partial, &eff, inputs)?,
-                }
+            Decision::Partial { ready: active, .. } => {
+                self.execute_partial(&planned, start, active, &eff, &workers, inputs)?
             }
         };
         tel.span(
@@ -192,32 +186,29 @@ impl<'c> AdapCC<'c> {
         }
 
         // Assemble: per-slot outputs → the collective's result buffers.
-        let outputs = match outcome.outputs {
-            Some(outputs) => outputs,
-            None => match inputs {
-                Some(inp) => {
-                    let survivors: Vec<Rank> = workers
-                        .iter()
-                        .copied()
-                        .filter(|w| !outcome.faults.contains(w))
-                        .collect();
-                    let elems = planned
-                        .stages
-                        .last()
-                        .and_then(|s| s.subs.first())
-                        .map(|s| (s.tensor.as_u64() / 4) as usize)
-                        .unwrap_or(0);
-                    assemble(
-                        planned.spec.assemble,
-                        &survivors,
-                        planned.root,
-                        elems,
-                        inp,
-                        &outcome.slots,
-                    )
-                }
-                None => BTreeMap::new(),
-            },
+        let outputs = match inputs {
+            Some(inp) => {
+                let survivors: Vec<Rank> = workers
+                    .iter()
+                    .copied()
+                    .filter(|w| !outcome.faults.contains(w))
+                    .collect();
+                let elems = planned
+                    .stages
+                    .last()
+                    .and_then(|s| s.subs.first())
+                    .map(|s| (s.tensor.as_u64() / 4) as usize)
+                    .unwrap_or(0);
+                assemble(
+                    planned.spec.assemble,
+                    &survivors,
+                    planned.root,
+                    elems,
+                    inp,
+                    outcome.slots,
+                )
+            }
+            None => BTreeMap::new(),
         };
         tel.span(
             "collective.assemble",
@@ -369,164 +360,67 @@ impl<'c> AdapCC<'c> {
         }
     }
 
-    /// The plain wait-all path: the request rides the communicator's
-    /// work queue exactly as the ML framework would push it (paper
-    /// Fig. 4), and timing-only runs on a healthy fabric reuse the
-    /// cached zero-skew execution time.
-    fn execute_queued(
-        &mut self,
-        planned: &Planned<'_>,
-        ready: &BTreeMap<Rank, SimTime>,
-        inputs: Option<&BTreeMap<Rank, Vec<f32>>>,
-    ) -> Result<ExecOutcome, AdapCCError> {
-        let primitive = planned.stages[0].primitive;
-        let scope_workers = self.scope_workers();
-        let tensor = planned.tensor;
-        let work_id = self.communicator.submit(crate::communicator::WorkItem {
-            id: 0,
-            primitive,
-            tensor,
-            ready: ready.clone(),
-            inputs: inputs.cloned(),
-        });
-        let item = self
-            .communicator
-            .take_work()
-            .expect("the request just submitted");
-        debug_assert_eq!(item.id, work_id);
-        let workers = scope_workers;
-        let strategy = planned.strategies[0][0].clone();
-        let (_, last) = ready_span(ready, &workers);
-        // Timing-only wait-all runs reuse the cached zero-skew
-        // execution time: the collective itself is deterministic, the
-        // slowest worker gates its start. With a fault schedule armed
-        // the cache would mask faults, so every run goes through the
-        // executor for real.
-        let (finish, outputs) = if item.inputs.is_none() && self.fault_schedule.is_none() {
-            let key = planned.stages[0].subs[0].key(primitive);
-            let t_exec = self.cached_exec_secs(&key, &strategy);
-            (last + SimDuration::from_secs(t_exec), BTreeMap::new())
-        } else {
-            let mut req = ExecutionRequest::timing(&strategy, tensor).with_ready(item.ready);
-            if let Some(inp) = item.inputs {
-                req = req.with_inputs(inp);
-            }
-            let batch = self.executor().try_execute(&[req])?;
-            (
-                batch.finish,
-                batch
-                    .requests
-                    .into_iter()
-                    .next()
-                    .expect("one request")
-                    .outputs,
-            )
-        };
-        self.communicator.complete(crate::communicator::WorkResult {
-            id: work_id,
-            finish,
-            outputs,
-        });
-        let result = self
-            .communicator
-            .fetch()
-            .expect("the result just completed");
-        debug_assert_eq!(result.id, work_id);
-        Ok(ExecOutcome::done(result.finish, result.outputs))
-    }
-
-    /// Adaptive AllReduce whose decision came back `WaitAll`: cached
-    /// zero-skew time on a healthy timing-only run, one full request
-    /// otherwise.
-    fn execute_adaptive_waitall(
+    /// The wait-all executor. Each stage's sub-collectives run as one
+    /// batch from the caller's readiness; stage `k + 1` starts when
+    /// stage `k` drains and consumes its merged outputs. A
+    /// single-fanout stage of a timing-only run on a healthy fabric
+    /// reuses the cached zero-skew execution time instead: the
+    /// collective itself is deterministic and the slowest worker (or
+    /// the decision instant) gates its start. With a fault schedule
+    /// armed the memo would mask faults, so every stage goes through
+    /// the executor.
+    fn execute_wait_all(
         &mut self,
         planned: &Planned<'_>,
         start: SimTime,
         ready: &BTreeMap<Rank, SimTime>,
+        workers: &[Rank],
         inputs: Option<&BTreeMap<Rank, Vec<f32>>>,
     ) -> Result<ExecOutcome, AdapCCError> {
-        let strategy = planned.strategies[0][0].clone();
-        let tensor = planned.tensor;
-        if inputs.is_none() && self.fault_schedule.is_none() {
-            let key = planned.stages[0].subs[0].key(planned.stages[0].primitive);
-            let t_exec = self.cached_exec_secs(&key, &strategy);
-            let (_, last) = ready_span(ready, &self.scope_workers());
-            let finish = last.max(start) + SimDuration::from_secs(t_exec);
-            return Ok(ExecOutcome::done(finish, BTreeMap::new()));
-        }
-        let mut req = ExecutionRequest::timing(&strategy, tensor).with_ready(ready.clone());
-        if let Some(inp) = inputs {
-            req = req.with_inputs(inp.clone());
-        }
-        let batch = self.executor().try_execute(&[req])?;
-        Ok(ExecOutcome::done(
-            batch.finish,
-            batch.requests.into_iter().next().expect("one").outputs,
-        ))
-    }
-
-    /// Wait-all execution of a stage DAG: each stage's sub-collectives
-    /// run as one batch; stage `k + 1` starts when stage `k` drains
-    /// and consumes its merged outputs.
-    fn execute_stages(
-        &mut self,
-        planned: &Planned<'_>,
-        ready: &BTreeMap<Rank, SimTime>,
-        inputs: Option<&BTreeMap<Rank, Vec<f32>>>,
-    ) -> Result<ExecOutcome, AdapCCError> {
-        let workers = self.scope_workers();
-        let (_, last) = ready_span(ready, &workers);
-        let mut stage_ready: BTreeMap<Rank, SimTime> = ready.clone();
-        let mut stage_inputs: Option<BTreeMap<Rank, Vec<f32>>> = inputs.cloned();
-        let mut finish = last;
+        let memo = inputs.is_none() && self.fault_schedule.is_none();
+        let mut stage_ready: Option<BTreeMap<Rank, SimTime>> = None;
+        let mut finish = ready_span(ready, workers).1;
         let mut slots: Vec<SlotOutput> = Vec::new();
         for (i, stage) in planned.stages.iter().enumerate() {
-            let requests: Vec<ExecutionRequest<'_>> = stage
-                .subs
-                .iter()
-                .zip(&planned.strategies[i])
-                .map(|(sub, s)| {
-                    let mut req =
-                        ExecutionRequest::timing(s, sub.tensor).with_ready(stage_ready.clone());
-                    if let Some(inp) = &stage_inputs {
-                        req = req.with_inputs(stage.sub_inputs(sub, inp, planned.root));
-                    }
-                    req
-                })
-                .collect();
-            if requests.is_empty() {
+            if stage.subs.is_empty() {
                 // A pairwise stage over a single worker has nothing to
                 // move; assembly serves the root from its own input.
                 continue;
             }
-            let batch = self.executor().try_execute(&requests)?;
-            finish = batch.finish;
-            slots = stage
-                .subs
-                .iter()
-                .zip(&batch.requests)
-                .map(|(sub, r)| SlotOutput {
-                    owner: sub.owner.or(sub.root).unwrap_or(workers[0]),
-                    slot: sub.slot,
-                    outputs: Some(r.outputs.clone()),
-                })
-                .collect();
-            if i + 1 < planned.stages.len() {
-                stage_ready = workers.iter().map(|w| (*w, finish)).collect();
-                if stage_inputs.is_some() {
-                    let mut merged: BTreeMap<Rank, Vec<f32>> = BTreeMap::new();
-                    for r in &batch.requests {
-                        for (k, v) in &r.outputs {
-                            merged.insert(*k, v.clone());
-                        }
-                    }
-                    stage_inputs = Some(merged);
-                }
+            if memo && stage.fanout == Fanout::Single {
+                let key = stage.subs[0].key(stage.primitive);
+                let t_exec = self.cached_exec_secs(&key, &planned.strategies[i][0]);
+                let (_, last) = ready_span(stage_ready.as_ref().unwrap_or(ready), workers);
+                finish = last.max(start) + SimDuration::from_secs(t_exec);
+                slots = vec![planned.slot(i, 0, Some(BTreeMap::new()), workers)];
+            } else {
+                // The previous stage's outputs, merged, feed this one;
+                // stage 0 reads the caller's buffers in place.
+                let carried: Option<BTreeMap<Rank, Vec<f32>>> =
+                    (!slots.is_empty() && inputs.is_some()).then(|| {
+                        slots
+                            .drain(..)
+                            .filter_map(|s| s.outputs)
+                            .flatten()
+                            .collect()
+                    });
+                let requests = planned.requests(
+                    i,
+                    0..stage.subs.len(),
+                    stage_ready.as_ref().unwrap_or(ready),
+                    carried.as_ref().or(inputs),
+                );
+                let batch = self.executor().try_execute(&requests)?;
+                finish = batch.finish;
+                slots = (0..stage.subs.len())
+                    .zip(batch.requests)
+                    .map(|(j, r)| planned.slot(i, j, Some(r.outputs), workers))
+                    .collect();
             }
+            stage_ready = Some(workers.iter().map(|w| (*w, finish)).collect());
         }
         Ok(ExecOutcome {
             finish,
-            outputs: None,
             slots,
             faults: Vec::new(),
         })

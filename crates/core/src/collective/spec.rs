@@ -8,7 +8,8 @@
 //! relay coordinator is consulted, and how per-sub outputs assemble
 //! into the collective's result. The staged pipeline (the private
 //! `pipeline` sibling module) lowers a spec onto synthesized
-//! strategies and executes it; adding a collective means writing a new
+//! strategies and runs it through one of two executors, wait-all or
+//! phase-1/phase-2 partial; adding a collective means writing a new
 //! spec, not a new orchestration method (the TACCL/SCCL lesson:
 //! declarative specs over a common engine keep a synthesizer
 //! extensible).
@@ -98,8 +99,8 @@ pub struct StageSpec {
 }
 
 /// A complete declarative collective: stages, relay policy, assembly
-/// rule, and pipeline knobs. Every public entry point of
-/// [`crate::AdapCC`] is one of these; the staged pipeline
+/// rule, root requirement and buy-estimate volume. Every public entry
+/// point of [`crate::AdapCC`] is one of these; the staged pipeline
 /// (plan → relay → execute → assemble, wrapped in the recovery loop)
 /// is shared by all of them.
 #[derive(Debug, Clone)]
@@ -113,9 +114,6 @@ pub struct CollectiveSpec {
     pub relay: RelayPolicy,
     /// How the final stage's per-sub outputs become the result.
     pub assemble: AssembleRule,
-    /// Whether the request rides the communicator work/result queues
-    /// (paper Fig. 4) — single-stage single-fanout specs only.
-    pub queue: bool,
     /// Whether the entry point takes an explicit root rank.
     pub needs_root: bool,
     /// The primitive whose volume model prices the ski-rental buy
@@ -135,7 +133,6 @@ impl CollectiveSpec {
             }],
             relay: RelayPolicy::WaitAll,
             assemble: AssembleRule::Identity,
-            queue: true,
             needs_root,
             estimate_as: primitive,
         }
@@ -167,7 +164,6 @@ impl CollectiveSpec {
             relay: RelayPolicy::Adaptive {
                 missing_is_fault: true,
             },
-            queue: false,
             ..Self::single("allreduce_adaptive", Primitive::AllReduce, false)
         }
     }
@@ -186,7 +182,6 @@ impl CollectiveSpec {
                 missing_is_fault: false,
             },
             assemble: AssembleRule::ConcatSlots,
-            queue: false,
             needs_root: false,
             estimate_as: Primitive::AllGather,
         }
@@ -206,7 +201,6 @@ impl CollectiveSpec {
                 missing_is_fault: false,
             },
             assemble: AssembleRule::OwnerShard,
-            queue: false,
             needs_root: false,
             estimate_as: Primitive::ReduceScatter,
         }
@@ -227,7 +221,6 @@ impl CollectiveSpec {
             }],
             relay: RelayPolicy::WaitAll,
             assemble: AssembleRule::ConcatAtRoot,
-            queue: false,
             needs_root: true,
             estimate_as: Primitive::AllGather,
         }
@@ -248,7 +241,6 @@ impl CollectiveSpec {
             }],
             relay: RelayPolicy::WaitAll,
             assemble: AssembleRule::OwnerSlice,
-            queue: false,
             needs_root: true,
             estimate_as: Primitive::Broadcast,
         }
@@ -259,9 +251,6 @@ impl CollectiveSpec {
     pub fn validate(&self) -> Result<(), String> {
         if self.stages.is_empty() {
             return Err("a collective needs at least one stage".into());
-        }
-        if self.queue && (self.stages.len() != 1 || self.stages[0].fanout != Fanout::Single) {
-            return Err("only single-stage single-fanout specs ride the work queue".into());
         }
         if matches!(self.relay, RelayPolicy::Adaptive { .. }) {
             if self.stages.len() != 1 {
@@ -312,15 +301,6 @@ mod tests {
                 spec.validate()
             );
         }
-    }
-
-    #[test]
-    fn queue_requires_single_fanout() {
-        let spec = CollectiveSpec {
-            queue: true,
-            ..CollectiveSpec::allgather()
-        };
-        assert!(spec.validate().is_err());
     }
 
     #[test]

@@ -1,29 +1,27 @@
-//! The communicator runtime (paper Sec. V-A): transmission contexts,
-//! work/result queues, and the one-time set-up phase.
+//! The communicator runtime (paper Sec. V-A): transmission contexts
+//! and the one-time set-up phase.
 //!
 //! In the paper each GPU process runs `M` *transmission contexts* —
 //! one per parallel sub-collective — each with a persistent polling
 //! thread, a dedicated CUDA stream, and three registered buffers
 //! (local / receive / result) whose pointers are exchanged via CUDA
 //! IPC handles at set-up (Fig. 10). Here the contexts are explicit
-//! bookkeeping objects, the queues are real FIFOs, and the set-up
-//! phase is charged its measured-in-the-paper costs (buffer
-//! registration, IPC handle AllGather, host-IP table exchange) once
-//! before training, after which the buffers are reused by every
-//! request — exactly the paper's amortization argument. Execution
+//! bookkeeping objects, and the set-up phase is charged its
+//! measured-in-the-paper costs (buffer registration, IPC handle
+//! AllGather, host-IP table exchange) once before training, after
+//! which the buffers are reused by every request — exactly the
+//! paper's amortization argument. Execution
 //! itself is single-threaded and deterministic; the per-context
 //! "persistent thread + stream" concurrency is realized by the
 //! executor running all sub-collectives concurrently on the simulated
 //! fabric.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
 
 use adapcc_simnet::cluster::{Cluster, InstanceId, Rank};
-use adapcc_simnet::time::{SimDuration, SimTime};
-use adapcc_simnet::units::ByteSize;
-use adapcc_synth::primitive::Primitive;
+use adapcc_simnet::time::SimDuration;
 
 /// One transmission context: identity plus its registered buffers.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -48,40 +46,10 @@ pub struct SetupReport {
     pub elapsed: SimDuration,
 }
 
-/// A queued collective request (pushed by the ML framework).
-#[derive(Debug, Clone)]
-pub struct WorkItem {
-    /// Monotonic request id.
-    pub id: u64,
-    /// Which collective to run.
-    pub primitive: Primitive,
-    /// Per-rank tensor size.
-    pub tensor: ByteSize,
-    /// Worker readiness for this iteration.
-    pub ready: BTreeMap<Rank, SimTime>,
-    /// Optional real payloads.
-    pub inputs: Option<BTreeMap<Rank, Vec<f32>>>,
-}
-
-/// A completed collective, fetched by the ML framework.
-#[derive(Debug, Clone)]
-pub struct WorkResult {
-    /// The request id this result answers.
-    pub id: u64,
-    /// Completion instant on the iteration clock.
-    pub finish: SimTime,
-    /// Output tensors (present when the request carried inputs).
-    pub outputs: BTreeMap<Rank, Vec<f32>>,
-}
-
-/// The per-job communicator state: contexts plus the two queues.
+/// The per-job communicator state: the transmission contexts.
 #[derive(Debug, Default)]
 pub struct Communicator {
     contexts: Vec<TransmissionContext>,
-    work: VecDeque<WorkItem>,
-    results: VecDeque<WorkResult>,
-    next_id: u64,
-    setup_done: bool,
 }
 
 /// Simulated cost of registering one GPU buffer (cudaMalloc + IPC
@@ -109,7 +77,7 @@ impl Communicator {
 
     /// Whether set-up has completed.
     pub fn is_set_up(&self) -> bool {
-        self.setup_done
+        !self.contexts.is_empty()
     }
 
     /// The live transmission contexts.
@@ -150,48 +118,10 @@ impl Communicator {
             });
         }
         elapsed += ip_exchange_cost();
-        self.setup_done = true;
         SetupReport {
             contexts: parallelism,
             elapsed,
         }
-    }
-
-    /// Pushes a collective request into the work queue; returns its id.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called before [`Communicator::setup`] (the paper's
-    /// buffers must exist before communication).
-    pub fn submit(&mut self, mut item: WorkItem) -> u64 {
-        assert!(self.setup_done, "communicator not set up");
-        let id = self.next_id;
-        self.next_id += 1;
-        item.id = id;
-        self.work.push_back(item);
-        id
-    }
-
-    /// Pops the oldest pending request (the executor polls in order,
-    /// like the paper's persistent context threads).
-    pub fn take_work(&mut self) -> Option<WorkItem> {
-        self.work.pop_front()
-    }
-
-    /// Number of pending requests.
-    pub fn pending(&self) -> usize {
-        self.work.len()
-    }
-
-    /// Pushes a completed result into the result queue.
-    pub fn complete(&mut self, result: WorkResult) {
-        self.results.push_back(result);
-    }
-
-    /// Fetches the oldest completed result, if any (the framework's
-    /// blocking fetch).
-    pub fn fetch(&mut self) -> Option<WorkResult> {
-        self.results.pop_front()
     }
 
     /// IPC handle lookup for a peer's receive buffer within a context
@@ -246,51 +176,6 @@ mod tests {
         assert_eq!(comm.contexts().len(), 4);
         // Tens of milliseconds, not seconds: amortizable.
         assert!(report.elapsed.as_millis() > 5.0 && report.elapsed.as_millis() < 100.0);
-    }
-
-    #[test]
-    fn queues_are_fifo() {
-        let c = Cluster::homogeneous_a100(1);
-        let mut comm = Communicator::new();
-        comm.setup(&c, 2);
-        let mk = |p| WorkItem {
-            id: 0,
-            primitive: p,
-            tensor: ByteSize::from_mib(1),
-            ready: BTreeMap::new(),
-            inputs: None,
-        };
-        let a = comm.submit(mk(Primitive::AllReduce));
-        let b = comm.submit(mk(Primitive::AllToAll));
-        assert_eq!(comm.pending(), 2);
-        assert_eq!(comm.take_work().unwrap().id, a);
-        assert_eq!(comm.take_work().unwrap().id, b);
-        comm.complete(WorkResult {
-            id: b,
-            finish: SimTime::ZERO,
-            outputs: BTreeMap::new(),
-        });
-        comm.complete(WorkResult {
-            id: a,
-            finish: SimTime::ZERO,
-            outputs: BTreeMap::new(),
-        });
-        assert_eq!(comm.fetch().unwrap().id, b);
-        assert_eq!(comm.fetch().unwrap().id, a);
-        assert!(comm.fetch().is_none());
-    }
-
-    #[test]
-    #[should_panic(expected = "not set up")]
-    fn submit_requires_setup() {
-        let mut comm = Communicator::new();
-        let _ = comm.submit(WorkItem {
-            id: 0,
-            primitive: Primitive::AllReduce,
-            tensor: ByteSize::from_mib(1),
-            ready: BTreeMap::new(),
-            inputs: None,
-        });
     }
 
     #[test]

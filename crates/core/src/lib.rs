@@ -31,8 +31,8 @@
 //!   relay assignment, fault detection (Sec. IV-C).
 //! * [`behavior`] — the `<isActive, hasRecv, hasKernel, hasSend>`
 //!   GPU behaviour abstraction (Sec. IV-C-3).
-//! * [`communicator`] — transmission contexts, work/result queues,
-//!   set-up cost accounting (Sec. V-A).
+//! * [`communicator`] — transmission contexts and set-up cost
+//!   accounting (Sec. V-A).
 //! * [`reconstruct`] — in-place graph reconstruction versus
 //!   NCCL-style restart costs (Fig. 19(c)).
 //!

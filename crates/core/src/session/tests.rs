@@ -321,7 +321,6 @@ fn custom_two_stage_spec_runs_through_the_pipeline() {
         ],
         relay: RelayPolicy::WaitAll,
         assemble: AssembleRule::Identity,
-        queue: false,
         needs_root: false,
         estimate_as: Primitive::AllReduce,
     };

@@ -275,3 +275,25 @@ fn mixed_generation_fleet_synthesizes() {
         "root {root:?} should sit on the H100 server"
     );
 }
+
+#[test]
+fn collectives_before_setup_are_invalid_requests() {
+    // The transmission contexts must exist before any collective runs
+    // (paper Sec. V-A), whichever entry point is called first.
+    let cluster = Cluster::homogeneous_a100(1);
+    let mut cc = AdapCC::init(&cluster, quick_options());
+    let tensor = ByteSize::from_kib(16);
+    let idle = BTreeMap::new();
+    let err = cc.allreduce(tensor, &idle, None).expect_err("not set up");
+    assert!(
+        matches!(err, adapcc::AdapCCError::InvalidRequest(_)),
+        "{err}"
+    );
+    let err = cc.allgather(tensor, &idle, None).expect_err("not set up");
+    assert!(
+        matches!(err, adapcc::AdapCCError::InvalidRequest(_)),
+        "{err}"
+    );
+    cc.setup();
+    cc.allreduce(tensor, &idle, None).expect("set up");
+}

@@ -495,6 +495,159 @@ fn pipeline_matches_pre_refactor_goldens_for_adaptive_allreduce() {
     }
 }
 
+// The goldens below pin the paths the constants above leave open:
+// pairwise specs and the rooted Reduce on a heterogeneous fleet, and
+// the fanned phase-1/phase-2 split. They were captured on the pipeline
+// as it stood before the wait-all and partial executors were merged
+// (one function per single-stage, queued, staged and partial path).
+
+/// The paper testbed's 24 workers with all-zero readiness except the
+/// last, which straggles 40 ms behind.
+fn one_straggler(workers: &[Rank]) -> BTreeMap<Rank, SimTime> {
+    let mut ready: BTreeMap<Rank, SimTime> = workers.iter().map(|r| (*r, SimTime::ZERO)).collect();
+    ready.insert(*workers.last().unwrap(), SimTime::from_secs(0.04));
+    ready
+}
+
+#[test]
+fn pipeline_matches_goldens_for_rooted_and_pairwise_collectives() {
+    let c = Cluster::paper_testbed();
+    let kib16 = ByteSize::from_kib(16);
+    let root = Rank(5);
+    let cases: [(&str, u64, u64); 3] = [
+        ("reduce", 0x3f0989ab88e648e1, 0xdd63f20222fe4f25),
+        ("gather", 0x3f094d9ffbd810a5, 0xa5538e81fc79236d),
+        ("scatter", 0x3eeed77039afec43, 0xd07f8c174f9c922b),
+    ];
+    for (name, finish, digest) in cases {
+        let mut cc = AdapCC::init(&c, quick_options());
+        cc.setup();
+        let n = cc.workers().len();
+        let idle = BTreeMap::new();
+        let r = match name {
+            "reduce" => cc.reduce(kib16, &idle, Some(inputs_for(cc.workers(), 16 * 256))),
+            "gather" => cc.gather(root, kib16, &idle, Some(inputs_for(cc.workers(), 16 * 256))),
+            _ => cc.scatter(
+                root,
+                ByteSize::from_bytes((n * 256 * 4) as u64),
+                &idle,
+                Some(inputs_for(cc.workers(), n * 256)),
+            ),
+        }
+        .unwrap();
+        assert!(
+            matches!(r.decision, Decision::WaitAll { .. }),
+            "{name}: {:?}",
+            r.decision
+        );
+        assert_eq!(r.finish.as_secs().to_bits(), finish, "{name} finish");
+        assert_eq!(fnv(&r.outputs), digest, "{name} outputs");
+    }
+}
+
+#[test]
+fn pipeline_matches_goldens_for_partial_composites() {
+    // One straggler behind an otherwise idle step: the ready owners'
+    // sub-collectives run in phase 1, the straggler's in phase 2.
+    let c = Cluster::paper_testbed();
+    for (name, finish, digest) in [
+        ("allgather", 0x3fa47f6e54362735u64, 0x4a2da73c7fad4075u64),
+        ("reduce_scatter", 0x3fa47baaa36f8b40, 0x85780ee83ee638d5),
+    ] {
+        let mut cc = AdapCC::init(&c, patient_options());
+        cc.setup();
+        let workers = cc.workers().to_vec();
+        let n = workers.len();
+        let ready = one_straggler(&workers);
+        let r = if name == "allgather" {
+            cc.allgather(
+                ByteSize::from_kib(16),
+                &ready,
+                Some(inputs_for(&workers, 16 * 256)),
+            )
+        } else {
+            let tensor = ByteSize::from_bytes((n * 256 * 4) as u64);
+            cc.reduce_scatter(tensor, &ready, Some(inputs_for(&workers, n * 256)))
+        }
+        .unwrap();
+        assert!(
+            matches!(r.decision, Decision::Partial { .. }),
+            "{name}: {:?}",
+            r.decision
+        );
+        assert!(r.faults.is_empty(), "{name}: {:?}", r.faults);
+        assert_eq!(r.finish.as_secs().to_bits(), finish, "{name} finish");
+        assert_eq!(fnv(&r.outputs), digest, "{name} outputs");
+    }
+}
+
+type EntryPoint = fn(
+    &mut AdapCC<'_>,
+    ByteSize,
+    &BTreeMap<Rank, SimTime>,
+    Option<BTreeMap<Rank, Vec<f32>>>,
+) -> Result<adapcc::collective::IterationReport, adapcc::AdapCCError>;
+
+#[test]
+fn zero_skew_memo_agrees_with_the_executor_for_every_entry_point() {
+    // A timing-only run of a single-fanout stage on a healthy fabric
+    // is served from the zero-skew execution memo; the same call with
+    // data runs the executor. Both must land on the same instant.
+    //
+    // The adaptive AllReduce is the one exception, by a known offset:
+    // its memo starts at the decision instant, which carries the
+    // coordinator's RPC delay, while its executor run starts at the
+    // workers' readiness. It is compared net of that delay.
+    let c = Cluster::paper_testbed();
+    let kib64 = ByteSize::from_kib(64);
+    // Divisible into f32 shards over the testbed's 24 workers.
+    let split = ByteSize::from_bytes(24 * 1024 * 4);
+    let at = SimTime::from_secs(0.002);
+    let entries: [(&str, ByteSize, EntryPoint); 9] = [
+        ("allreduce", kib64, |cc, t, r, i| cc.allreduce(t, r, i)),
+        ("reduce", kib64, |cc, t, r, i| cc.reduce(t, r, i)),
+        ("broadcast", kib64, |cc, t, r, i| {
+            cc.broadcast(Rank(5), t, r, i)
+        }),
+        ("alltoall", split, |cc, t, r, i| cc.alltoall(t, r, i)),
+        ("allreduce_adaptive", kib64, |cc, t, r, i| {
+            cc.allreduce_adaptive(t, r, i)
+        }),
+        ("allgather", kib64, |cc, t, r, i| cc.allgather(t, r, i)),
+        ("reduce_scatter", split, |cc, t, r, i| {
+            cc.reduce_scatter(t, r, i)
+        }),
+        ("gather", kib64, |cc, t, r, i| cc.gather(Rank(5), t, r, i)),
+        ("scatter", split, |cc, t, r, i| cc.scatter(Rank(5), t, r, i)),
+    ];
+    for (name, tensor, call) in entries {
+        let run = |data: bool| {
+            let mut cc = AdapCC::init(&c, quick_options());
+            cc.setup();
+            let workers = cc.workers().to_vec();
+            assert_eq!(workers.len(), 24);
+            let ready: BTreeMap<Rank, SimTime> = workers.iter().map(|r| (*r, at)).collect();
+            let inputs = data.then(|| inputs_for(&workers, (tensor.as_u64() / 4) as usize));
+            call(&mut cc, tensor, &ready, inputs).unwrap_or_else(|e| panic!("{name}: {e}"))
+        };
+        let timing = run(false);
+        let data = run(true);
+        assert_eq!(timing.decision, data.decision, "{name} decision");
+        assert!(!data.outputs.is_empty(), "{name} moved no data");
+        let rpc = match timing.decision {
+            Decision::WaitAll { start } if name == "allreduce_adaptive" => {
+                start.duration_since(at).as_secs()
+            }
+            _ => 0.0,
+        };
+        let (t, d) = (timing.finish.as_secs() - rpc, data.finish.as_secs());
+        assert!(
+            (t - d).abs() <= 1e-12 * d,
+            "{name}: memo {t} vs executor {d}"
+        );
+    }
+}
+
 #[test]
 fn every_pipeline_stage_emits_one_span_per_collective() {
     // Six entry points through the shared pipeline: each stage must
