@@ -81,8 +81,9 @@ pub struct StagePlan {
 
 impl StagePlan {
     /// Slices the caller's input buffers onto one sub-plan, mirroring
-    /// the shard rule: full-tensor subs see the whole map (the
-    /// executor picks the entries its primitive consumes), split subs
+    /// the shard rule: a fanned broadcast sees its owner's buffer, the
+    /// only one it reads; other full-tensor subs see the whole map (the
+    /// executor picks the entries its primitive consumes); split subs
     /// see their slot's shard.
     pub fn sub_inputs(
         &self,
@@ -91,16 +92,23 @@ impl StagePlan {
         call_root: Option<Rank>,
     ) -> BTreeMap<Rank, Vec<f32>> {
         let elems = (sub.tensor.as_u64() / 4) as usize;
+        let owner_only = || {
+            let owner = sub.owner.expect("fanned subs have owners");
+            inputs
+                .get(&owner)
+                .map(|b| (owner, b.clone()))
+                .into_iter()
+                .collect()
+        };
         match (self.shard, self.fanout) {
-            (ShardRule::Full, Fanout::Pairwise { .. }) => {
-                // Gather: only the owner's tensor rides this pairwise
-                // broadcast.
-                let owner = sub.owner.expect("pairwise subs have owners");
-                inputs
-                    .get(&owner)
-                    .map(|b| (owner, b.clone()))
-                    .into_iter()
-                    .collect()
+            // Gather: only the owner's tensor rides this pairwise
+            // broadcast.
+            (ShardRule::Full, Fanout::Pairwise { .. }) => owner_only(),
+            // AllGather: each per-worker broadcast reads only its root's
+            // buffer (the executor seeds the root alone), so the whole
+            // map in every sub would copy N^2 tensors per call.
+            (ShardRule::Full, Fanout::PerWorker) if self.primitive == Primitive::Broadcast => {
+                owner_only()
             }
             (ShardRule::Full, _) => inputs.clone(),
             (ShardRule::SplitEven, Fanout::Pairwise { .. }) => {
@@ -296,5 +304,26 @@ mod tests {
             [(Rank(0), vec![0.0, 1.0, 2.0, 3.0, 4.0, 5.0])].into();
         let sliced = stage.sub_inputs(&stage.subs[1], &inputs, Some(Rank(0)));
         assert_eq!(sliced[&Rank(0)], vec![4.0, 5.0], "slot 2 shard");
+    }
+
+    #[test]
+    fn allgather_subs_carry_only_their_owners_buffer() {
+        let plan = expand(
+            &CollectiveSpec::allgather(),
+            None,
+            ByteSize::from_bytes(2 * 4),
+            &workers(4),
+        )
+        .unwrap();
+        let inputs: BTreeMap<Rank, Vec<f32>> = workers(4)
+            .into_iter()
+            .map(|r| (r, vec![r.0 as f32; 2]))
+            .collect();
+        for sub in &plan[0].subs {
+            let owner = sub.owner.unwrap();
+            let sliced = plan[0].sub_inputs(sub, &inputs, None);
+            assert_eq!(sliced.len(), 1, "sub of {owner}");
+            assert_eq!(sliced[&owner], inputs[&owner]);
+        }
     }
 }

@@ -27,11 +27,21 @@
 //!   as weight and emits one event per token in submission order, so
 //!   the observable event stream — times, tokens, ordering — is
 //!   bit-identical to the unmerged engine.
-//! * **Arena-backed state** — per-flow link lists live in one shared
+//! * **Path classes** — every distinct link list is interned once
+//!   into a class table (FNV-1a keyed, append-only) holding its arena
+//!   slice and per-flow cap; flows store a class id. Both allocators
+//!   run one progressive-filling kernel over classes: a class enters
+//!   the filling with the summed clones of its active flows and every
+//!   member takes its class's rate. Members cross the same links under
+//!   the same cap, so they would take the same deltas and freeze in
+//!   the same round; integer counts and order-free `min` folds make
+//!   the class filling bit-identical to a per-flow one, at a cost
+//!   proportional to classes rather than flows.
+//! * **Arena-backed state** — class link lists live in one shared
 //!   `Vec`, event payload slots are recycled through a free list, and
-//!   the allocator scratch (active/hot/residual/frozen sets) is reused
-//!   across `reallocate` calls with generation stamps instead of
-//!   per-call allocation, so steady-state stepping allocates nothing.
+//!   the filling scratch (hot/residual/unfrozen sets) is reused across
+//!   fillings with generation stamps instead of per-call allocation,
+//!   so steady-state stepping allocates nothing.
 //! * **Incremental filling** — with
 //!   [`with_incremental_allocator`](NetSim::with_incremental_allocator)
 //!   the engine stops re-filling the whole fleet on every event.
@@ -48,7 +58,9 @@
 //!   of N fleet refills. Debug builds cross-check every incremental
 //!   refill against a from-scratch filling of all live flows.
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
+use std::ops::Range;
 
 use adapcc_telemetry::Telemetry;
 
@@ -161,17 +173,17 @@ struct Flow {
     /// Tokens of identical same-instant submissions merged into this
     /// flow (aggregation). The flow's *weight* is `1 + extra.len()`.
     extra: Vec<Token>,
-    /// Slice of the shared link arena this flow occupies.
-    links_start: u32,
-    links_len: u32,
+    /// The flow's path class (its link list and per-flow cap).
+    class: u32,
+    /// Start of this flow's occupancy back-pointers in `slot_pos`, one
+    /// per link of its class.
+    slots: u32,
     /// Per-clone residual bytes (clones are identical, so one value
     /// stands for all of them).
     remaining: f64,
     /// Current allocated per-clone rate in bytes/sec (0 while in the
     /// latency phase).
     rate: f64,
-    /// Per-flow ceiling from the most restrictive traversed link.
-    cap: f64,
     draining: bool,
     done: bool,
     /// Set when a permanent link failure killed this flow; surfaces as
@@ -232,6 +244,48 @@ struct LinkState {
     failed: bool,
 }
 
+/// A path class: one interned link list. Every flow over the same
+/// links shares its class, and with it the per-flow cap, the filling
+/// deltas and therefore the allocated rate.
+#[derive(Debug, Clone)]
+struct PathClass {
+    /// Slice of the shared link arena holding the class's links.
+    links_start: u32,
+    links_len: u32,
+    /// Per-flow ceiling from the most restrictive traversed link.
+    cap: f64,
+    /// Filling stamp: the class takes part in the current filling.
+    stamp: u64,
+    /// Active clones over all member flows in the current filling.
+    weight: usize,
+    /// The rate the current filling gives every member flow.
+    rate: f64,
+}
+
+/// FNV-1a, 64-bit: the class table's hash. Interning runs on every
+/// submission, so the table avoids the default SipHash's heavier
+/// per-key cost on its short keys.
+struct Fnv(u64);
+
+impl Default for Fnv {
+    fn default() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+}
+
+impl Hasher for Fnv {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+}
+
 /// The most recent submission, for aggregation of identical
 /// back-to-back transfers.
 #[derive(Debug, Clone, Copy)]
@@ -271,8 +325,14 @@ pub struct NetSim<'c> {
     /// Payload slots freed by popped events, recycled by `push`.
     free_pids: Vec<u64>,
     flows: Vec<Flow>,
-    /// Shared arena backing every flow's link list.
-    flow_links: Vec<LinkId>,
+    /// Append-only path-class table; classes are never removed.
+    classes: Vec<PathClass>,
+    /// Link list -> its class.
+    class_index: HashMap<Box<[LinkId]>, u32, BuildHasherDefault<Fnv>>,
+    /// Classes taking part in the current filling, in first-seen order.
+    filled: Vec<u32>,
+    /// Shared arena backing every class's link list.
+    class_links: Vec<LinkId>,
     /// Head/tail of the intrusive live list (flows in the fluid
     /// phase), threaded through `Flow::live_prev`/`live_next` in
     /// activation order; membership changes are O(1).
@@ -285,8 +345,9 @@ pub struct NetSim<'c> {
     /// `slot` names the occurrence inside the flow's link slice so
     /// swap-removal can fix back-pointers in O(1).
     link_flows: Vec<Vec<(u32, u32)>>,
-    /// Arena parallel to `flow_links`: the position of that occupancy
-    /// entry inside its link's `link_flows` vector.
+    /// Per flow and per link of its class (from `Flow::slots`): the
+    /// position of that occupancy entry inside its link's `link_flows`
+    /// vector.
     slot_pos: Vec<u32>,
     /// Counter-backed `draining_flows()` (clones of draining flows).
     draining_clones: usize,
@@ -315,20 +376,18 @@ pub struct NetSim<'c> {
     visit_flow_stamp: Vec<u64>,
     comp_links: Vec<usize>,
     comp_flows: Vec<usize>,
-    scratch_old_rates: Vec<f64>,
     completion_version: u64,
     last_advance: SimTime,
     last_submit: Option<LastSubmit>,
     /// Total internal events processed (engine throughput metric).
     events: u64,
-    // Reusable `reallocate` scratch: no steady-state allocation.
-    scratch_active: Vec<usize>,
+    // Reusable filling scratch: no steady-state allocation.
     scratch_hot: Vec<usize>,
     scratch_residual: Vec<f64>,
+    /// Saturation threshold of each hot link, parallel to the residuals.
+    scratch_sat: Vec<f64>,
     scratch_counts: Vec<usize>,
-    scratch_unfrozen: Vec<usize>,
-    /// Generation stamps replacing a per-call `frozen` bitmap.
-    frozen_stamp: Vec<u64>,
+    scratch_unfrozen: Vec<u32>,
     /// Generation stamps deduplicating the hot link set without a sort.
     hot_stamp: Vec<u64>,
     stamp: u64,
@@ -349,7 +408,10 @@ impl<'c> NetSim<'c> {
             payloads: Vec::new(),
             free_pids: Vec::new(),
             flows: Vec::new(),
-            flow_links: Vec::new(),
+            classes: Vec::new(),
+            class_index: HashMap::default(),
+            filled: Vec::new(),
+            class_links: Vec::new(),
             live_head: NONE,
             live_tail: NONE,
             live_len: 0,
@@ -369,7 +431,6 @@ impl<'c> NetSim<'c> {
             visit_flow_stamp: Vec::new(),
             comp_links: Vec::new(),
             comp_flows: Vec::new(),
-            scratch_old_rates: Vec::new(),
             links: vec![
                 LinkState {
                     factor: 1.0,
@@ -382,12 +443,11 @@ impl<'c> NetSim<'c> {
             last_advance: SimTime::ZERO,
             last_submit: None,
             events: 0,
-            scratch_active: Vec::new(),
             scratch_hot: Vec::new(),
             scratch_residual: Vec::new(),
+            scratch_sat: Vec::new(),
             scratch_counts: Vec::new(),
             scratch_unfrozen: Vec::new(),
-            frozen_stamp: Vec::new(),
             hot_stamp: vec![0; cluster.links().len()],
             stamp: 0,
             link_pos: vec![0; cluster.links().len()],
@@ -474,23 +534,34 @@ impl<'c> NetSim<'c> {
         self.events
     }
 
-    /// Saturation threshold for a link's residual during progressive
-    /// filling: relative to the link's effective capacity, because the
-    /// floating-point dust `residual -= delta * n` leaves behind on a
-    /// saturated link scales with that capacity. An absolute epsilon
-    /// (the old `1e-6` B/s) sits *inside* the dust band of a 100 GB/s
-    /// fabric link, where a mathematically-saturated link could read
-    /// as open and starve the freeze step. The `1e-6` floor keeps
-    /// zero-capacity (failed/zero-factor) links saturated.
-    fn sat_eps(&self, li: usize) -> f64 {
-        let cap = self.cluster.links()[li].capacity.as_bytes_per_sec() * self.links[li].factor;
-        (cap * 1e-9).max(1e-6)
+    /// Arena range of a flow's links (its class's link list).
+    fn links_range(&self, id: usize) -> Range<usize> {
+        let c = &self.classes[self.flows[id].class as usize];
+        c.links_start as usize..(c.links_start + c.links_len) as usize
     }
 
-    /// The links a flow occupies, out of the shared arena.
-    fn links_of(&self, id: usize) -> &[LinkId] {
-        let f = &self.flows[id];
-        &self.flow_links[f.links_start as usize..(f.links_start + f.links_len) as usize]
+    /// Interns a link list into the class table; allocates only when
+    /// the class is new.
+    fn intern_class(&mut self, links: &[LinkId]) -> u32 {
+        if let Some(&c) = self.class_index.get(links) {
+            return c;
+        }
+        let id = self.classes.len() as u32;
+        self.class_index.insert(links.into(), id);
+        self.classes.push(PathClass {
+            links_start: self.class_links.len() as u32,
+            links_len: links.len() as u32,
+            cap: links
+                .iter()
+                .filter_map(|l| self.cluster.link(*l).per_flow_cap)
+                .map(|b| b.as_bytes_per_sec())
+                .fold(f64::INFINITY, f64::min),
+            stamp: 0,
+            weight: 0,
+            rate: 0.0,
+        });
+        self.class_links.extend_from_slice(links);
+        id
     }
 
     /// Submits a transfer of `size` bytes along `path`; a
@@ -511,6 +582,7 @@ impl<'c> NetSim<'c> {
         self.telemetry
             .add_counter("simnet.bytes_submitted", size.as_f64());
         let alpha = self.cluster.path_alpha(path);
+        let class = self.intern_class(&path.links);
         if let Some(last) = self.last_submit {
             // Merge only when nothing happened since the previous
             // submission (seq unchanged), at the same instant, and the
@@ -524,7 +596,7 @@ impl<'c> NetSim<'c> {
                         && !f.done
                         && f.active_clones == 0
                         && f.emitted == 0
-                        && self.links_of(last.flow) == path.links.as_slice()
+                        && f.class == class
                 };
                 if same {
                     let id = last.flow;
@@ -540,23 +612,15 @@ impl<'c> NetSim<'c> {
                 }
             }
         }
-        let cap = path
-            .links
-            .iter()
-            .filter_map(|l| self.cluster.link(*l).per_flow_cap)
-            .map(|b| b.as_bytes_per_sec())
-            .fold(f64::INFINITY, f64::min);
-        let links_start = self.flow_links.len() as u32;
-        self.flow_links.extend_from_slice(&path.links);
-        self.slot_pos.resize(self.flow_links.len(), 0);
+        let slots = self.slot_pos.len();
+        self.slot_pos.resize(slots + path.links.len(), 0);
         self.flows.push(Flow {
             token,
             extra: Vec::new(),
-            links_start,
-            links_len: path.links.len() as u32,
+            class,
+            slots: slots as u32,
             remaining: size.as_f64(),
             rate: 0.0,
-            cap,
             draining: false,
             done: false,
             aborted: dead,
@@ -824,8 +888,7 @@ impl<'c> NetSim<'c> {
                     if self.flows[id].active_clones == 1 {
                         // First clone: the flow joins the live list and
                         // learns how many of its links are down.
-                        let down = self
-                            .links_of(id)
+                        let down = self.class_links[self.links_range(id)]
                             .iter()
                             .filter(|l| !self.links[l.0].up)
                             .count() as u32;
@@ -1034,150 +1097,40 @@ impl<'c> NetSim<'c> {
         })
     }
 
-    /// Progressive-filling (max-min) rate allocation with per-flow caps,
-    /// then schedules the next completion event.
-    ///
-    /// Merged flows enter the filling with their clone count as weight,
-    /// which reproduces the arithmetic of the clones as separate flows
-    /// exactly (equal deltas to identical flows, identical freezes).
+    /// Exact-mode filling: every unstalled live flow enters one
+    /// class filling, then every live flow takes its rate and the next
+    /// completion is scheduled. Two walks of the live list in all: one
+    /// to enlist the active flows, one to assign rates and find the
+    /// earliest drain.
     fn reallocate(&mut self) {
-        if self.frozen_stamp.len() < self.flows.len() {
-            self.frozen_stamp.resize(self.flows.len(), 0);
-        }
-        {
-            let mut cur = self.live_head;
-            while cur != NONE {
-                let f = &mut self.flows[cur as usize];
-                cur = f.live_next;
-                f.rate = 0.0;
-            }
-        }
         // Flows crossing a down link stall at rate zero and take no part
         // in the filling; they resume when the link comes back up.
-        let mut active = std::mem::take(&mut self.scratch_active);
-        active.clear();
-        {
-            let mut cur = self.live_head;
-            while cur != NONE {
-                let i = cur as usize;
-                let f = &self.flows[i];
-                cur = f.live_next;
-                if f.down_links == 0 {
-                    active.push(i);
-                }
+        self.begin_filling();
+        let mut active = 0;
+        let mut cur = self.live_head;
+        while cur != NONE {
+            let i = cur as usize;
+            cur = self.flows[i].live_next;
+            if self.flows[i].down_links == 0 {
+                self.enlist(i);
+                active += 1;
             }
         }
-        if active.is_empty() {
-            self.scratch_active = active;
-            // Only already-drained flows (remaining ~ 0) can still
-            // complete; stalled ones wait for a link-up.
-            let drained = self.first_drained_live().is_some();
-            self.bump_completion_schedule(drained.then_some(SimDuration::ZERO));
-            return;
-        }
-        self.fillings += 1;
-        self.frontier_flows += active.len() as u64;
-        self.telemetry.add_counter("engine.fillings", 1.0);
-        self.telemetry
-            .add_counter("engine.frontier_flows", active.len() as f64);
-        self.stamp += 1;
-        let stamp = self.stamp;
-        // Only links carrying active flows matter; everything else has
-        // no contention to resolve. First-seen order with stamp dedup —
-        // no sort; the filling arithmetic below is per-link independent
-        // and its `min` folds are order-insensitive, so the hot-set
-        // order never shows in the allocated rates.
-        let mut hot = std::mem::take(&mut self.scratch_hot);
-        hot.clear();
-        for &f in &active {
-            let fl = &self.flows[f];
-            let (start, len) = (fl.links_start as usize, fl.links_len as usize);
-            for i in start..start + len {
-                let li = self.flow_links[i].0;
-                if self.hot_stamp[li] != stamp {
-                    self.hot_stamp[li] = stamp;
-                    self.link_pos[li] = hot.len() as u32;
-                    hot.push(li);
-                }
-            }
-        }
-        // residual[k] tracks hot[k].
-        let mut residual = std::mem::take(&mut self.scratch_residual);
-        residual.clear();
-        for &li in &hot {
-            residual
-                .push(self.cluster.links()[li].capacity.as_bytes_per_sec() * self.links[li].factor);
-        }
-        let mut unfrozen = std::mem::take(&mut self.scratch_unfrozen);
-        unfrozen.clear();
-        unfrozen.extend_from_slice(&active);
-        let mut counts = std::mem::take(&mut self.scratch_counts);
-        // Progressive filling: raise all unfrozen flows equally until a
-        // link saturates or a flow hits its cap; freeze and repeat.
-        while !unfrozen.is_empty() {
-            counts.clear();
-            counts.resize(hot.len(), 0);
-            for &f in &unfrozen {
-                let w = self.flows[f].active_clones as usize;
-                for l in self.links_of(f) {
-                    counts[self.link_pos[l.0] as usize] += w;
-                }
-            }
-            let mut delta = f64::INFINITY;
-            for (k, &n) in counts.iter().enumerate() {
-                if n > 0 {
-                    delta = delta.min(residual[k] / n as f64);
-                }
-            }
-            for &f in &unfrozen {
-                delta = delta.min(self.flows[f].cap - self.flows[f].rate);
-            }
-            if !delta.is_finite() || delta < 0.0 {
-                break;
-            }
-            for &f in &unfrozen {
-                self.flows[f].rate += delta;
-            }
-            for (k, &n) in counts.iter().enumerate() {
-                residual[k] -= delta * n as f64;
-            }
-            // Freeze flows on saturated links or at their cap. The
-            // epsilons are relative to the limit they guard: the dust
-            // `residual -= delta * n` leaves on a saturated link scales
-            // with the link's capacity (~1e-5 B/s on a 100 GB/s pod
-            // uplink), so an absolute threshold either misses it —
-            // leaving the iteration with nothing to freeze and the
-            // stall guard below deflating every still-rising flow to
-            // the bottleneck share — or would misfire on slow links.
-            let mut froze = 0usize;
-            for &f in &unfrozen {
-                let cap = self.flows[f].cap;
-                let at_cap = self.flows[f].rate >= cap - (cap * 1e-9).max(1e-6);
-                let on_sat = self
-                    .links_of(f)
-                    .iter()
-                    .any(|l| residual[self.link_pos[l.0] as usize] <= self.sat_eps(l.0));
-                if at_cap || on_sat {
-                    self.frozen_stamp[f] = stamp;
-                    froze += 1;
-                }
-            }
-            if froze == 0 {
-                // Numerical stall guard: freeze everything.
-                for &f in &unfrozen {
-                    self.frozen_stamp[f] = stamp;
-                }
-            }
-            let fs = &self.frozen_stamp;
-            unfrozen.retain(|&f| fs[f] != stamp);
+        if active > 0 {
+            self.fill_classes(active);
         }
         // Next completion: earliest remaining/rate among draining flows
         // (stalled flows have rate 0 and only count if already drained).
         let mut next: Option<SimDuration> = None;
         let mut cur = self.live_head;
         while cur != NONE {
-            let f = &self.flows[cur as usize];
+            let f = &mut self.flows[cur as usize];
             cur = f.live_next;
+            f.rate = if f.down_links == 0 {
+                self.classes[f.class as usize].rate
+            } else {
+                0.0
+            };
             if f.rate > 0.0 {
                 let dt = SimDuration::from_secs((f.remaining / f.rate).max(0.0));
                 next = Some(match next {
@@ -1188,12 +1141,144 @@ impl<'c> NetSim<'c> {
                 next = Some(SimDuration::ZERO);
             }
         }
-        self.scratch_active = active;
+        self.bump_completion_schedule(next);
+    }
+
+    /// Starts assembling a filling: no class is enlisted yet.
+    fn begin_filling(&mut self) {
+        self.stamp += 1;
+        self.filled.clear();
+    }
+
+    /// Adds an active flow to the filling being assembled: its class
+    /// joins on first sight and gains the flow's clones as weight.
+    fn enlist(&mut self, id: usize) {
+        let f = &self.flows[id];
+        let c = &mut self.classes[f.class as usize];
+        if c.stamp != self.stamp {
+            c.stamp = self.stamp;
+            c.weight = 0;
+            self.filled.push(f.class);
+        }
+        c.weight += f.active_clones as usize;
+    }
+
+    /// The progressive-filling (max-min) kernel, shared by both
+    /// allocators. It fills the enlisted classes, not their flows:
+    /// members of a class cross the same links under the same cap, so
+    /// they would take the same delta in every round and freeze in the
+    /// same round. A class enters each link's count with the summed
+    /// clones of its active members, which is the same integer the
+    /// flows would add one by one, and every `min` fold below is
+    /// order-insensitive, so each member's rate is bit-identical to a
+    /// per-flow filling. `flows` is the number of member flows (the
+    /// `fillings`/`frontier_flows` work counters count flows).
+    fn fill_classes(&mut self, flows: usize) {
+        if !self.checking {
+            self.fillings += 1;
+            self.frontier_flows += flows as u64;
+            self.telemetry.add_counter("engine.fillings", 1.0);
+            self.telemetry
+                .add_counter("engine.frontier_flows", flows as f64);
+        }
+        let stamp = self.stamp;
+        // Only links carrying enlisted classes matter. First-seen order
+        // with stamp dedup, no sort: the arithmetic below is per-link
+        // independent and its `min` folds are order-insensitive, so the
+        // hot-set order never shows in the rates. residual[k] and sat[k]
+        // track hot[k].
+        let mut hot = std::mem::take(&mut self.scratch_hot);
+        let mut residual = std::mem::take(&mut self.scratch_residual);
+        let mut sat = std::mem::take(&mut self.scratch_sat);
+        hot.clear();
+        residual.clear();
+        sat.clear();
+        for &c in &self.filled {
+            let pc = &mut self.classes[c as usize];
+            pc.rate = 0.0;
+            let start = pc.links_start as usize;
+            for l in &self.class_links[start..start + pc.links_len as usize] {
+                let li = l.0;
+                if self.hot_stamp[li] != stamp {
+                    self.hot_stamp[li] = stamp;
+                    self.link_pos[li] = hot.len() as u32;
+                    hot.push(li);
+                    let cap = self.cluster.links()[li].capacity.as_bytes_per_sec()
+                        * self.links[li].factor;
+                    residual.push(cap);
+                    // Saturation is relative to the link's effective
+                    // capacity: the dust `residual -= delta * n` leaves
+                    // on a saturated link scales with it (~1e-5 B/s on
+                    // a 100 GB/s pod uplink), so an absolute threshold
+                    // either misses it, leaving the round with nothing
+                    // to freeze and the stall guard deflating every
+                    // still-rising class to the bottleneck share, or
+                    // misfires on slow links. The floor keeps
+                    // zero-capacity links saturated.
+                    sat.push((cap * 1e-9).max(1e-6));
+                }
+            }
+        }
+        let mut unfrozen = std::mem::take(&mut self.scratch_unfrozen);
+        unfrozen.clear();
+        unfrozen.extend_from_slice(&self.filled);
+        let mut counts = std::mem::take(&mut self.scratch_counts);
+        let (classes, arena, pos) = (&mut self.classes, &self.class_links, &self.link_pos);
+        let links = |pc: &PathClass| {
+            let start = pc.links_start as usize;
+            &arena[start..start + pc.links_len as usize]
+        };
+        // Raise all unfrozen classes equally until a link saturates or
+        // a class hits its cap; freeze and repeat.
+        while !unfrozen.is_empty() {
+            counts.clear();
+            counts.resize(hot.len(), 0);
+            for &c in &unfrozen {
+                let pc = &classes[c as usize];
+                for l in links(pc) {
+                    counts[pos[l.0] as usize] += pc.weight;
+                }
+            }
+            let mut delta = f64::INFINITY;
+            for (k, &n) in counts.iter().enumerate() {
+                if n > 0 {
+                    delta = delta.min(residual[k] / n as f64);
+                }
+            }
+            for &c in &unfrozen {
+                let pc = &classes[c as usize];
+                delta = delta.min(pc.cap - pc.rate);
+            }
+            if !delta.is_finite() || delta < 0.0 {
+                break;
+            }
+            for &c in &unfrozen {
+                classes[c as usize].rate += delta;
+            }
+            for (k, &n) in counts.iter().enumerate() {
+                residual[k] -= delta * n as f64;
+            }
+            // Freeze classes on a saturated link or at their cap; if
+            // none froze, the numerical stall guard freezes them all.
+            let before = unfrozen.len();
+            unfrozen.retain(|&c| {
+                let pc = &classes[c as usize];
+                let at_cap = pc.rate >= pc.cap - (pc.cap * 1e-9).max(1e-6);
+                let on_sat = links(pc).iter().any(|l| {
+                    let k = pos[l.0] as usize;
+                    residual[k] <= sat[k]
+                });
+                !(at_cap || on_sat)
+            });
+            if unfrozen.len() == before {
+                unfrozen.clear();
+            }
+        }
         self.scratch_hot = hot;
         self.scratch_residual = residual;
+        self.scratch_sat = sat;
         self.scratch_counts = counts;
         self.scratch_unfrozen = unfrozen;
-        self.bump_completion_schedule(next);
     }
 
     fn bump_completion_schedule(&mut self, after: Option<SimDuration>) {
@@ -1247,14 +1332,11 @@ impl<'c> NetSim<'c> {
     // ---- per-link occupancy index ----
 
     fn index_flow(&mut self, id: usize) {
-        let (start, len) = {
-            let f = &self.flows[id];
-            (f.links_start as usize, f.links_len as usize)
-        };
-        for k in start..start + len {
-            let li = self.flow_links[k].0;
-            self.slot_pos[k] = self.link_flows[li].len() as u32;
-            self.link_flows[li].push((id as u32, (k - start) as u32));
+        let slots = self.flows[id].slots as usize;
+        for (j, k) in self.links_range(id).enumerate() {
+            let li = self.class_links[k].0;
+            self.slot_pos[slots + j] = self.link_flows[li].len() as u32;
+            self.link_flows[li].push((id as u32, j as u32));
         }
         self.flows[id].indexed = true;
     }
@@ -1264,20 +1346,17 @@ impl<'c> NetSim<'c> {
             return;
         }
         self.flows[id].indexed = false;
-        let (start, len) = {
-            let f = &self.flows[id];
-            (f.links_start as usize, f.links_len as usize)
-        };
-        for k in start..start + len {
-            let li = self.flow_links[k].0;
-            let pos = self.slot_pos[k] as usize;
+        let slots = self.flows[id].slots as usize;
+        for (j, k) in self.links_range(id).enumerate() {
+            let li = self.class_links[k].0;
+            let pos = self.slot_pos[slots + j] as usize;
             let last = self.link_flows[li].pop().expect("occupancy entry present");
             if pos < self.link_flows[li].len() {
                 // Swap-remove: fix the moved entry's back-pointer.
                 self.link_flows[li][pos] = last;
                 let (mf, ms) = last;
-                let mstart = self.flows[mf as usize].links_start as usize;
-                self.slot_pos[mstart + ms as usize] = pos as u32;
+                let mslots = self.flows[mf as usize].slots as usize;
+                self.slot_pos[mslots + ms as usize] = pos as u32;
             }
         }
     }
@@ -1353,12 +1432,8 @@ impl<'c> NetSim<'c> {
     }
 
     fn mark_flow_links_dirty(&mut self, id: usize) {
-        let (start, len) = {
-            let f = &self.flows[id];
-            (f.links_start as usize, f.links_len as usize)
-        };
-        for k in start..start + len {
-            let li = self.flow_links[k].0;
+        for k in self.links_range(id) {
+            let li = self.class_links[k].0;
             self.mark_link_dirty(li);
         }
     }
@@ -1435,6 +1510,7 @@ impl<'c> NetSim<'c> {
             comp_links.clear();
             comp_flows.clear();
             comp_links.push(seed);
+            self.begin_filling();
             let mut qi = 0;
             while qi < comp_links.len() {
                 let l = comp_links[qi];
@@ -1447,22 +1523,15 @@ impl<'c> NetSim<'c> {
                     if self.visit_flow_stamp[fid] == vstamp {
                         continue;
                     }
-                    let (draining, down, start, len) = {
-                        let f = &self.flows[fid];
-                        (
-                            f.draining,
-                            f.down_links,
-                            f.links_start as usize,
-                            f.links_len as usize,
-                        )
-                    };
-                    if !draining || down > 0 {
+                    let f = &self.flows[fid];
+                    if !f.draining || f.down_links > 0 {
                         continue;
                     }
                     self.visit_flow_stamp[fid] = vstamp;
                     comp_flows.push(fid);
-                    for k in start..start + len {
-                        let li = self.flow_links[k].0;
+                    self.enlist(fid);
+                    for k in self.links_range(fid) {
+                        let li = self.class_links[k].0;
                         if self.visit_link_stamp[li] != vstamp {
                             self.visit_link_stamp[li] = vstamp;
                             comp_links.push(li);
@@ -1481,116 +1550,22 @@ impl<'c> NetSim<'c> {
         self.dirty_epoch += 1;
     }
 
-    /// Progressive filling over one connected component
-    /// (`self.comp_flows`) — the same arithmetic as `reallocate`'s
-    /// loop, scoped to the component — then (re)schedules completion
-    /// events for every flow whose rate bits moved. Rates of flows
-    /// outside the component are untouched by construction, which is
-    /// what makes the frontier refill bit-identical to a from-scratch
-    /// per-component recompute.
+    /// Refills one connected component (`self.comp_flows`, whose
+    /// classes were enlisted during discovery) with the class kernel,
+    /// then (re)schedules completion events for every flow whose rate
+    /// bits moved. Rates of flows outside the component are untouched
+    /// by construction, which is what makes the frontier refill
+    /// bit-identical to a from-scratch per-component recompute.
     fn fill_component(&mut self) {
-        if self.frozen_stamp.len() < self.flows.len() {
-            self.frozen_stamp.resize(self.flows.len(), 0);
-        }
         let comp = std::mem::take(&mut self.comp_flows);
-        if !self.checking {
-            self.fillings += 1;
-            self.frontier_flows += comp.len() as u64;
-            self.telemetry.add_counter("engine.fillings", 1.0);
-            self.telemetry
-                .add_counter("engine.frontier_flows", comp.len() as f64);
-        }
-        let mut old_rates = std::mem::take(&mut self.scratch_old_rates);
-        old_rates.clear();
-        for &f in &comp {
-            old_rates.push(self.flows[f].rate);
-            self.flows[f].rate = 0.0;
-        }
-        self.stamp += 1;
-        let stamp = self.stamp;
-        let mut hot = std::mem::take(&mut self.scratch_hot);
-        hot.clear();
-        for &f in &comp {
-            let (start, len) = {
-                let fl = &self.flows[f];
-                (fl.links_start as usize, fl.links_len as usize)
-            };
-            for i in start..start + len {
-                let li = self.flow_links[i].0;
-                if self.hot_stamp[li] != stamp {
-                    self.hot_stamp[li] = stamp;
-                    self.link_pos[li] = hot.len() as u32;
-                    hot.push(li);
-                }
-            }
-        }
-        let mut residual = std::mem::take(&mut self.scratch_residual);
-        residual.clear();
-        for &li in &hot {
-            residual
-                .push(self.cluster.links()[li].capacity.as_bytes_per_sec() * self.links[li].factor);
-        }
-        let mut unfrozen = std::mem::take(&mut self.scratch_unfrozen);
-        unfrozen.clear();
-        unfrozen.extend_from_slice(&comp);
-        let mut counts = std::mem::take(&mut self.scratch_counts);
-        while !unfrozen.is_empty() {
-            counts.clear();
-            counts.resize(hot.len(), 0);
-            for &f in &unfrozen {
-                let w = self.flows[f].active_clones as usize;
-                for l in self.links_of(f) {
-                    counts[self.link_pos[l.0] as usize] += w;
-                }
-            }
-            let mut delta = f64::INFINITY;
-            for (k, &n) in counts.iter().enumerate() {
-                if n > 0 {
-                    delta = delta.min(residual[k] / n as f64);
-                }
-            }
-            for &f in &unfrozen {
-                delta = delta.min(self.flows[f].cap - self.flows[f].rate);
-            }
-            if !delta.is_finite() || delta < 0.0 {
-                break;
-            }
-            for &f in &unfrozen {
-                self.flows[f].rate += delta;
-            }
-            for (k, &n) in counts.iter().enumerate() {
-                residual[k] -= delta * n as f64;
-            }
-            // Same capacity-relative freeze epsilons as `reallocate` —
-            // the two fillings must agree bit for bit.
-            let mut froze = 0usize;
-            for &f in &unfrozen {
-                let cap = self.flows[f].cap;
-                let at_cap = self.flows[f].rate >= cap - (cap * 1e-9).max(1e-6);
-                let on_sat = self
-                    .links_of(f)
-                    .iter()
-                    .any(|l| residual[self.link_pos[l.0] as usize] <= self.sat_eps(l.0));
-                if at_cap || on_sat {
-                    self.frozen_stamp[f] = stamp;
-                    froze += 1;
-                }
-            }
-            if froze == 0 {
-                for &f in &unfrozen {
-                    self.frozen_stamp[f] = stamp;
-                }
-            }
-            let fs = &self.frozen_stamp;
-            unfrozen.retain(|&f| fs[f] != stamp);
-        }
-        // Completion events: only flows whose rate bits moved need a
-        // resync and a fresh FlowDone — everything else keeps its
-        // already-scheduled instant, bit for bit.
+        self.fill_classes(comp.len());
+        // Only flows whose rate bits moved need a resync and a fresh
+        // FlowDone — everything else keeps its already-scheduled
+        // instant, bit for bit.
         let now = self.now;
-        for (k, &f) in comp.iter().enumerate() {
-            let old = old_rates[k];
-            let new = self.flows[f].rate;
+        for &f in &comp {
+            let fl = &mut self.flows[f];
+            let (old, new) = (fl.rate, self.classes[fl.class as usize].rate);
             if new.to_bits() == old.to_bits() {
                 continue;
             }
@@ -1599,11 +1574,11 @@ impl<'c> NetSim<'c> {
                 "incremental filling diverged from full recompute: \
                  flow {f} rate {new:e} (expected {old:e})"
             );
-            let fl = &mut self.flows[f];
             let dt = now.duration_since(fl.synced_at).as_secs();
             if dt > 0.0 && old > 0.0 {
                 fl.remaining = (fl.remaining - old * dt).max(0.0);
             }
+            fl.rate = new;
             fl.synced_at = now;
             fl.fill_gen += 1;
             let gen = fl.fill_gen;
@@ -1615,11 +1590,6 @@ impl<'c> NetSim<'c> {
             }
         }
         self.comp_flows = comp;
-        self.scratch_old_rates = old_rates;
-        self.scratch_hot = hot;
-        self.scratch_residual = residual;
-        self.scratch_unfrozen = unfrozen;
-        self.scratch_counts = counts;
     }
 }
 
