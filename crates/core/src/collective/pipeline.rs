@@ -45,24 +45,23 @@ pub(super) struct ExecOutcome {
 
 impl Planned<'_> {
     /// Requests for sub-collectives `subs` of stage `i`, each gated by
-    /// `ready` and fed its slice of `inputs`.
-    pub(super) fn requests(
-        &self,
+    /// `ready` and fed its slice of `inputs` (borrowed where a sub
+    /// reads the whole map).
+    pub(super) fn requests<'p>(
+        &'p self,
         i: usize,
         subs: impl IntoIterator<Item = usize>,
         ready: &BTreeMap<Rank, SimTime>,
-        inputs: Option<&BTreeMap<Rank, Vec<f32>>>,
-    ) -> Vec<ExecutionRequest<'_>> {
+        inputs: Option<&'p BTreeMap<Rank, Vec<f32>>>,
+    ) -> Vec<ExecutionRequest<'p>> {
         let stage = &self.stages[i];
         subs.into_iter()
             .map(|j| {
                 let sub = &stage.subs[j];
-                let req = ExecutionRequest::timing(&self.strategies[i][j], sub.tensor)
+                let mut req = ExecutionRequest::timing(&self.strategies[i][j], sub.tensor)
                     .with_ready(ready.clone());
-                match inputs {
-                    Some(inp) => req.with_inputs(stage.sub_inputs(sub, inp, self.root)),
-                    None => req,
-                }
+                req.inputs = inputs.map(|inp| stage.sub_inputs(sub, inp, self.root));
+                req
             })
             .collect()
     }
@@ -107,6 +106,20 @@ impl<'c> AdapCC<'c> {
                     "root {r} is not part of the job (excluded or never admitted)"
                 )));
             }
+        }
+        // Every caller buffer holds one whole tensor. Checked here
+        // because a sub-collective sees only the buffers it reads, so
+        // the executor's own length check never meets the rest.
+        if let Some((rank, buf)) = inputs
+            .into_iter()
+            .flatten()
+            .find(|(_, buf)| buf.len() as u64 * 4 != tensor.as_u64())
+        {
+            return Err(AdapCCError::InvalidRequest(format!(
+                "input of {rank} holds {} f32s, but the tensor is {} bytes",
+                buf.len(),
+                tensor.as_u64()
+            )));
         }
         self.iteration += 1;
         self.maybe_reprofile();

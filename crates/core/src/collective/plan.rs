@@ -7,6 +7,7 @@
 //! sub-collective. Expansion is pure — no synthesis, no execution —
 //! so a plan can be inspected and tested without a session.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 use adapcc_simnet::cluster::Rank;
@@ -81,52 +82,56 @@ pub struct StagePlan {
 
 impl StagePlan {
     /// Slices the caller's input buffers onto one sub-plan, mirroring
-    /// the shard rule: a fanned broadcast sees its owner's buffer, the
-    /// only one it reads; other full-tensor subs see the whole map (the
-    /// executor picks the entries its primitive consumes); split subs
-    /// see their slot's shard.
-    pub fn sub_inputs(
+    /// the shard rule: a full-tensor broadcast sees only the buffer it
+    /// reads, its owner's (gather, allgather) or its root's (a
+    /// single-fanout broadcast); other full-tensor subs borrow the
+    /// whole map (the executor picks the entries its primitive
+    /// consumes); split subs see their slot's shard.
+    pub fn sub_inputs<'i>(
         &self,
         sub: &SubPlan,
-        inputs: &BTreeMap<Rank, Vec<f32>>,
+        inputs: &'i BTreeMap<Rank, Vec<f32>>,
         call_root: Option<Rank>,
-    ) -> BTreeMap<Rank, Vec<f32>> {
+    ) -> Cow<'i, BTreeMap<Rank, Vec<f32>>> {
         let elems = (sub.tensor.as_u64() / 4) as usize;
-        let owner_only = || {
-            let owner = sub.owner.expect("fanned subs have owners");
-            inputs
-                .get(&owner)
-                .map(|b| (owner, b.clone()))
-                .into_iter()
-                .collect()
-        };
+        let shard = sub.slot * elems..(sub.slot + 1) * elems;
         match (self.shard, self.fanout) {
-            // Gather: only the owner's tensor rides this pairwise
-            // broadcast.
-            (ShardRule::Full, Fanout::Pairwise { .. }) => owner_only(),
-            // AllGather: each per-worker broadcast reads only its root's
-            // buffer (the executor seeds the root alone), so the whole
-            // map in every sub would copy N^2 tensors per call.
-            (ShardRule::Full, Fanout::PerWorker) if self.primitive == Primitive::Broadcast => {
-                owner_only()
+            // A broadcast reads its source's buffer alone (the executor
+            // seeds the root only), so handing every sub the whole map
+            // would copy N^2 tensors per allgather call.
+            (ShardRule::Full, _) if self.primitive == Primitive::Broadcast => {
+                match sub.owner.or(sub.root) {
+                    Some(src) => Cow::Owned(
+                        inputs
+                            .get(&src)
+                            .map(|b| (src, b.clone()))
+                            .into_iter()
+                            .collect(),
+                    ),
+                    None => Cow::Borrowed(inputs),
+                }
             }
-            (ShardRule::Full, _) => inputs.clone(),
+            (ShardRule::Full, _) => Cow::Borrowed(inputs),
             (ShardRule::SplitEven, Fanout::Pairwise { .. }) => {
                 // Scatter: the owner's shard of the root tensor.
                 let root = call_root.expect("split pairwise requires a root");
-                inputs
-                    .get(&root)
-                    .map(|b| (root, b[sub.slot * elems..(sub.slot + 1) * elems].to_vec()))
-                    .into_iter()
-                    .collect()
+                Cow::Owned(
+                    inputs
+                        .get(&root)
+                        .map(|b| (root, b[shard].to_vec()))
+                        .into_iter()
+                        .collect(),
+                )
             }
             (ShardRule::SplitEven, _) => {
                 // ReduceScatter: shard `slot` of every input feeds the
                 // reduce rooted at this slot's owner.
-                inputs
-                    .iter()
-                    .map(|(r, buf)| (*r, buf[sub.slot * elems..(sub.slot + 1) * elems].to_vec()))
-                    .collect()
+                Cow::Owned(
+                    inputs
+                        .iter()
+                        .map(|(r, buf)| (*r, buf[shard.clone()].to_vec()))
+                        .collect(),
+                )
             }
         }
     }
@@ -304,6 +309,28 @@ mod tests {
             [(Rank(0), vec![0.0, 1.0, 2.0, 3.0, 4.0, 5.0])].into();
         let sliced = stage.sub_inputs(&stage.subs[1], &inputs, Some(Rank(0)));
         assert_eq!(sliced[&Rank(0)], vec![4.0, 5.0], "slot 2 shard");
+    }
+
+    #[test]
+    fn broadcast_reads_the_roots_buffer_and_allreduce_borrows_the_map() {
+        let inputs: BTreeMap<Rank, Vec<f32>> = workers(4)
+            .into_iter()
+            .map(|r| (r, vec![r.0 as f32; 2]))
+            .collect();
+        let tensor = ByteSize::from_bytes(2 * 4);
+        let bcast = expand(
+            &CollectiveSpec::broadcast(),
+            Some(Rank(2)),
+            tensor,
+            &workers(4),
+        )
+        .unwrap();
+        let sliced = bcast[0].sub_inputs(&bcast[0].subs[0], &inputs, Some(Rank(2)));
+        assert_eq!(sliced.len(), 1, "only the root's buffer is copied");
+        assert_eq!(sliced[&Rank(2)], inputs[&Rank(2)]);
+        let allreduce = expand(&CollectiveSpec::allreduce(), None, tensor, &workers(4)).unwrap();
+        let sliced = allreduce[0].sub_inputs(&allreduce[0].subs[0], &inputs, None);
+        assert!(matches!(sliced, Cow::Borrowed(_)), "no copy of the map");
     }
 
     #[test]

@@ -13,15 +13,25 @@
 //! models. The data plane is real: when inputs are supplied, actual
 //! `f32` buffers are accumulated at kernel points, which is what makes
 //! the accuracy experiment (Fig. 19(b)) honest.
+//!
+//! Lowering numbers every node visit of a sub densely in one walk of
+//! its flows, so all per-visit, per-segment and per-hop state of a run
+//! lives in vectors indexed by those ids. Data buffers exist only at
+//! Reduce visits that receive data over a segment, where inputs
+//! combine; leaves are read in the caller's buffers, relay hops and
+//! Broadcast visits hold nothing (a Broadcast visit reads its origin),
+//! and sinks write finalized chunks straight into the output tensors
+//! (DESIGN.md, "Executor: lowered tables and the data plane").
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
+use std::borrow::Cow;
+use std::collections::{BTreeMap, HashMap, VecDeque};
 
 use adapcc_simnet::cluster::{Cluster, Path, Rank};
 use adapcc_simnet::engine::{NetSim, SimEvent};
 use adapcc_simnet::faults::FaultSchedule;
 use adapcc_simnet::hardware::kernel_launch_overhead;
 use adapcc_simnet::time::{SimDuration, SimTime};
-use adapcc_simnet::units::ByteSize;
+use adapcc_simnet::units::{Bandwidth, ByteSize};
 use adapcc_synth::primitive::Primitive;
 use adapcc_synth::strategy::Strategy;
 use adapcc_topo::logical::{EdgeId, EdgeKind, LogicalNode, LogicalTopology};
@@ -57,17 +67,20 @@ fn deadline_floor() -> SimDuration {
 /// One collective to execute.
 #[derive(Debug)]
 pub struct ExecutionRequest<'a> {
-    /// The strategy (any primitive; AllReduce is stage-pipelined
-    /// internally, AllGather/ReduceScatter are composed by the
-    /// communicator before reaching the executor).
+    /// The strategy, of any primitive. AllReduce is stage-pipelined
+    /// internally (a Reduce and its reverse Broadcast); AllGather and
+    /// ReduceScatter strategies run as Broadcast and Reduce trees.
+    /// The session's composite collectives (`crate::collective`)
+    /// arrive as batches of per-worker Broadcast or Reduce requests.
     pub strategy: &'a Strategy,
     /// Per-rank tensor size. Must be a multiple of 4 bytes (f32).
     pub tensor: ByteSize,
     /// When each worker's tensor becomes ready (missing ranks: 0).
     pub ready: BTreeMap<Rank, SimTime>,
-    /// Real input data per rank (length = tensor elements); omit for
-    /// timing-only runs (large benchmarks).
-    pub inputs: Option<BTreeMap<Rank, Vec<f32>>>,
+    /// Real input data per rank (length = tensor elements), owned or
+    /// borrowed from the caller; omit for timing-only runs (large
+    /// benchmarks).
+    pub inputs: Option<Cow<'a, BTreeMap<Rank, Vec<f32>>>>,
 }
 
 impl<'a> ExecutionRequest<'a> {
@@ -87,9 +100,16 @@ impl<'a> ExecutionRequest<'a> {
         self
     }
 
-    /// Attaches real input data.
+    /// Attaches real input data, handing the buffers over.
     pub fn with_inputs(mut self, inputs: BTreeMap<Rank, Vec<f32>>) -> Self {
-        self.inputs = Some(inputs);
+        self.inputs = Some(Cow::Owned(inputs));
+        self
+    }
+
+    /// Attaches real input data the caller keeps: the executor reads
+    /// the buffers in place and copies none of them.
+    pub fn with_borrowed_inputs(mut self, inputs: &'a BTreeMap<Rank, Vec<f32>>) -> Self {
+        self.inputs = Some(Cow::Borrowed(inputs));
         self
     }
 }
@@ -194,13 +214,16 @@ pub struct Executor<'a> {
 
 // ---------- lowered IR ----------
 
+/// "No entry" in the dense per-visit tables.
+const NONE: usize = usize::MAX;
+
 /// A node *visit*: routes may legitimately revisit a node (a broadcast
 /// enters a NIC, descends to the instance leader, and leaves through
 /// the same NIC), and each visit needs independent chunk state. `gen`
 /// is the number of earlier occurrences of `node` on the same route;
 /// flows sharing a route prefix share generations, so segment
 /// deduplication still collapses common prefixes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 struct VNode {
     node: LogicalNode,
     gen: u8,
@@ -212,11 +235,24 @@ impl VNode {
     }
 }
 
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// A route stretch between two visits (by visit id).
+#[derive(Debug)]
 struct Segment {
-    start: VNode,
-    end: VNode,
+    start: usize,
+    end: usize,
     edges: Vec<EdgeId>,
+}
+
+/// One hop of a segment; a sub's hops are numbered densely, segment
+/// by segment, so a segment's next hop is the next id.
+#[derive(Debug, Clone, Copy)]
+struct Hop {
+    seg: usize,
+    /// Whether this hop ends its segment.
+    last: bool,
+    edge: EdgeId,
+    /// Index of the hop's physical path in [`Lowered::paths`].
+    path: usize,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -235,6 +271,8 @@ struct P2pRange {
     len: usize,
 }
 
+/// One lowered sub-collective. Every `Vec` named "per visit" is
+/// indexed by visit id.
 #[derive(Debug)]
 struct LoweredSub {
     request: usize,
@@ -243,37 +281,192 @@ struct LoweredSub {
     elem_off: usize,
     elem_len: usize,
     chunk_elems: usize,
+    n_chunks: usize,
+    /// Per visit: the node visit it stands for.
+    visits: Vec<VNode>,
+    /// Per visit: inputs required to finalize a chunk (incoming
+    /// segments plus one if the visit contributes its own data).
+    required: Vec<usize>,
+    /// Per visit: whether the visit contributes its own data.
+    own: Vec<bool>,
+    /// Per visit: the reduction bandwidth of the GPU whose
+    /// aggregation kernel the visit runs, if it runs one.
+    kernel: Vec<Option<Bandwidth>>,
+    /// Per visit: whether the sub delivers its result here.
+    sink: Vec<bool>,
+    /// Sink visits, each once.
+    sinks: Vec<usize>,
+    /// Contributing visits, sorted by node visit: the order their
+    /// readiness timers are scheduled in.
+    contributors: Vec<usize>,
     segments: Vec<Segment>,
-    out_segs: BTreeMap<VNode, Vec<usize>>,
-    /// node-visit -> inputs required to finalize a chunk (incoming
-    /// segments plus one if the node contributes its own data).
-    required: BTreeMap<VNode, usize>,
-    contributes: BTreeSet<VNode>,
-    kernels: BTreeSet<VNode>,
-    sinks: BTreeSet<VNode>,
-    /// AllReduce stage chaining: when this sub's root finalizes chunk
-    /// k, chunk k becomes ready at the same node of sub `stage_link`.
-    stage_link: Option<usize>,
-    root: Option<VNode>,
+    /// First hop of each segment.
+    seg_hop: Vec<usize>,
+    hops: Vec<Hop>,
+    /// Outgoing segments per visit, in segment order:
+    /// `out_segs[out_start[v]..out_start[v + 1]]`.
+    out_start: Vec<usize>,
+    out_segs: Vec<usize>,
+    /// The root's visit ([`NONE`] for rootless subs).
+    root: usize,
+    /// AllReduce stage chaining, on the Reduce stage: when this sub's
+    /// root finalizes chunk k, chunk k finalizes at visit `.1` of sub
+    /// `.0` (the reverse Broadcast's root).
+    chain: Option<(usize, usize)>,
+    /// The same link seen from the reverse Broadcast: its root is fed
+    /// chunk by chunk by visit `.1` of Reduce sub `.0`, never seeded.
+    fed_by: Option<(usize, usize)>,
+    /// Per segment (point-to-point only).
     p2p_ranges: Vec<P2pRange>,
+}
+
+impl LoweredSub {
+    /// Element range `[a, b)` of chunk `k`, relative to the sub's
+    /// partition.
+    fn chunk_range(&self, k: usize) -> (usize, usize) {
+        let a = (k * self.chunk_elems).min(self.elem_len);
+        let b = ((k + 1) * self.chunk_elems).min(self.elem_len);
+        (a, b)
+    }
+
+    fn chunk_bytes(&self, k: usize) -> ByteSize {
+        let (a, b) = self.chunk_range(k);
+        ByteSize::from_bytes(((b - a) * 4) as u64)
+    }
+}
+
+/// Dense numbering of the fleet's logical nodes: GPUs by rank, then
+/// NICs by instance.
+#[derive(Debug, Clone, Copy)]
+struct NodeSlots {
+    gpus: usize,
+    len: usize,
+}
+
+impl NodeSlots {
+    fn of(self, node: LogicalNode) -> Option<usize> {
+        match node {
+            LogicalNode::Gpu(r) => (r.0 < self.gpus).then_some(r.0),
+            LogicalNode::Nic(i) => (self.gpus + i.0 < self.len).then_some(self.gpus + i.0),
+        }
+    }
+}
+
+/// A lowered batch: the subs of every request, and the physical path
+/// of every logical edge they cross, built once per batch.
+struct Lowered {
+    subs: Vec<LoweredSub>,
+    slots: NodeSlots,
+    paths: Vec<Path>,
+    /// Per logical edge: its index in `paths` ([`NONE`] until a hop
+    /// crosses it).
+    path_of: Vec<usize>,
+    /// Per logical edge: its duplex twin ([`NONE`] until a reverse
+    /// stage crosses it).
+    twin_of: Vec<usize>,
+}
+
+impl Lowered {
+    /// The duplex twin of `e` (its opposite-direction edge).
+    fn twin(&mut self, topo: &LogicalTopology, e: EdgeId) -> Result<EdgeId, AdapCCError> {
+        if self.twin_of[e.0] == NONE {
+            let d = topo.edge(e);
+            let t = topo.edge_between(d.to, d.from).ok_or_else(|| {
+                AdapCCError::InvalidRequest(format!(
+                    "edge {}->{} has no reverse twin",
+                    d.from, d.to
+                ))
+            })?;
+            self.twin_of[e.0] = t.0;
+        }
+        Ok(EdgeId(self.twin_of[e.0]))
+    }
+}
+
+/// Dense visit numbering of one sub, assigned in first-seen order.
+struct Visits {
+    slots: NodeSlots,
+    /// Per node slot: the node's first visit ([`NONE`] if unvisited).
+    first: Vec<usize>,
+    /// Every other visit: re-entries, and nodes outside the slots.
+    later: HashMap<VNode, usize>,
+    nodes: Vec<VNode>,
+}
+
+impl Visits {
+    fn new(slots: NodeSlots) -> Self {
+        Visits {
+            slots,
+            first: vec![NONE; slots.len],
+            later: HashMap::new(),
+            nodes: Vec::new(),
+        }
+    }
+
+    fn intern(&mut self, v: VNode) -> usize {
+        let next = self.nodes.len();
+        let id = match self.slots.of(v.node).filter(|_| v.gen == 0) {
+            Some(s) => {
+                if self.first[s] == NONE {
+                    self.first[s] = next;
+                }
+                self.first[s]
+            }
+            None => *self.later.entry(v).or_insert(next),
+        };
+        if id == next {
+            self.nodes.push(v);
+        }
+        id
+    }
+}
+
+/// What a sub looks like before its tables are derived: its element
+/// range and chunking, visits, deduplicated segments (in first-seen
+/// order), the visits that contribute data, and the sink visits.
+struct SubGraph {
+    kind: SubKind,
+    elem_off: usize,
+    elem_len: usize,
+    chunk_elems: usize,
+    visits: Visits,
+    segments: Vec<Segment>,
+    own: Vec<usize>,
+    sinks: Vec<usize>,
+    p2p_ranges: Vec<P2pRange>,
+}
+
+impl SubGraph {
+    fn new(kind: SubKind, slots: NodeSlots, elem_off: usize, elem_len: usize) -> Self {
+        SubGraph {
+            kind,
+            elem_off,
+            elem_len,
+            chunk_elems: 1,
+            visits: Visits::new(slots),
+            segments: Vec::new(),
+            own: Vec::new(),
+            sinks: Vec::new(),
+            p2p_ranges: Vec::new(),
+        }
+    }
 }
 
 #[derive(Debug, Clone, Copy)]
 enum Task {
     Hop {
         sub: usize,
-        seg: usize,
         hop: usize,
         chunk: usize,
     },
     Kernel {
         sub: usize,
-        slot: usize,
+        visit: usize,
         chunk: usize,
     },
     OwnReady {
         sub: usize,
-        slot: usize,
+        visit: usize,
     },
     /// Deadline timer for the in-flight transfer of hop task
     /// `hop_task`; ignored if that transfer already completed.
@@ -286,12 +479,12 @@ enum Task {
 enum Action {
     Finalize {
         sub: usize,
-        slot: usize,
+        visit: usize,
         chunk: usize,
     },
     StartSegs {
         sub: usize,
-        slot: usize,
+        visit: usize,
         chunk: usize,
     },
     Deliver {
@@ -301,48 +494,102 @@ enum Action {
     },
 }
 
+/// The chunk transfer a hop has on the wire.
+#[derive(Debug, Clone, Copy)]
+struct InFlight {
+    token: usize,
+    enqueued: SimTime,
+    start: SimTime,
+    bytes: u64,
+}
+
 #[derive(Debug, Default)]
 struct HopState {
+    inflight: Option<InFlight>,
+    /// Chunks waiting for the hop, with their enqueue instants.
+    queue: VecDeque<(usize, SimTime)>,
+}
+
+#[derive(Debug, Default)]
+struct KernelState {
     busy: bool,
     queue: VecDeque<usize>,
 }
 
-#[derive(Debug)]
-struct NodeState {
-    node: VNode,
+/// Per-sub chunk state of one run; `arrived` and `finalized` are
+/// indexed by `visit * n_chunks + chunk`.
+struct SubState {
+    hops: Vec<HopState>,
     arrived: Vec<usize>,
     finalized: Vec<bool>,
-    kernel_busy: bool,
-    kernel_queue: VecDeque<usize>,
-    acc: Option<Vec<f32>>,
-    /// Regions of `acc` actually written (p2p sinks).
-    written: Vec<(usize, usize)>,
+    kernels: Vec<KernelState>,
+}
+
+/// Where a visit's chunk values live during a data run.
+#[derive(Debug, Clone, Copy)]
+enum Src<'r> {
+    /// No data was supplied: zeros.
+    Zero,
+    /// The caller's buffer, narrowed to the sub's element range.
+    Input(&'r [f32]),
+    /// Accumulator `i` of the run (sub-relative element range).
+    Acc(usize),
+}
+
+/// The data plane of one run. Timing-only subs leave their entries
+/// empty.
+#[derive(Default)]
+struct DataPlane<'r> {
+    /// Per sub, per visit: where the visit's values live.
+    src: Vec<Vec<Src<'r>>>,
+    /// Per sub, per visit: the output buffer a sink writes ([`NONE`]
+    /// elsewhere).
+    out: Vec<Vec<usize>>,
+    /// Per sub, per segment: the sending rank's tensor (point-to-point).
+    p2p_src: Vec<Vec<&'r [f32]>>,
+    /// Buffers of the Reduce visits that combine inputs.
+    accs: Vec<Vec<f32>>,
+    /// Output tensors, and the (request, rank) each belongs to.
+    outputs: Vec<Vec<f32>>,
+    owners: Vec<(usize, Rank)>,
+    output_of: HashMap<(usize, Rank), usize>,
+}
+
+impl<'r> DataPlane<'r> {
+    /// The output tensor of `rank` in request `ri`, created zeroed on
+    /// first use.
+    fn output(&mut self, ri: usize, rank: Rank, elems: usize) -> usize {
+        let next = self.outputs.len();
+        let id = *self.output_of.entry((ri, rank)).or_insert(next);
+        if id == next {
+            self.outputs.push(vec![0.0; elems]);
+            self.owners.push((ri, rank));
+        }
+        id
+    }
+}
+
+/// Elements `[a, b)` of `src` (`None` for zeros).
+fn values<'s>(accs: &'s [Vec<f32>], src: Src<'s>, a: usize, b: usize) -> Option<&'s [f32]> {
+    match src {
+        Src::Zero => None,
+        Src::Input(buf) => Some(&buf[a..b]),
+        Src::Acc(i) => Some(&accs[i][a..b]),
+    }
 }
 
 /// All mutable state of one run, grouped so helper methods can borrow
 /// it coherently.
-struct RunState<'c> {
+struct RunState<'c, 'r> {
     sim: NetSim<'c>,
     tasks: Vec<Task>,
-    hops: Vec<Vec<Vec<HopState>>>,
-    nodes: Vec<Vec<NodeState>>,
-    slot_of: Vec<BTreeMap<VNode, usize>>,
+    subs: Vec<SubState>,
+    data: DataPlane<'r>,
     worklist: VecDeque<Action>,
     bytes_on_wire: u64,
     finish: SimTime,
     req_finish: Vec<SimTime>,
-    /// In-flight transfer start times by task id (tracing only).
-    hop_started: HashMap<usize, SimTime>,
     trace: Vec<TraceSpan>,
-    /// Hop-task ids with a transfer still on the wire (fault detection
-    /// only): a deadline firing while its hop is here means a stall.
-    open: HashSet<usize>,
-    /// Chunk enqueue instants by (sub, seg, hop, chunk), recorded when
-    /// a chunk queues behind a busy hop (telemetry only).
-    telem_enqueued: HashMap<(usize, usize, usize, usize), SimTime>,
-    /// In-flight transfer (enqueue, start, bytes) by task id
-    /// (telemetry only).
-    telem_open: HashMap<usize, (SimTime, SimTime, u64)>,
 }
 
 impl<'a> Executor<'a> {
@@ -418,11 +665,12 @@ impl<'a> Executor<'a> {
     ///
     /// # Panics
     ///
-    /// Panics if a strategy fails validation, a tensor is not
+    /// Panics where [`Executor::try_execute`] returns an error: a
+    /// strategy fails validation or cannot be lowered, a tensor is not
     /// f32-aligned, a supplied input buffer has the wrong length, an
-    /// AlltoAll with data has a tensor not divisible by the participant
-    /// count (shards must align), or an attached fault schedule faults
-    /// the run (use [`Executor::try_execute`] to handle faults).
+    /// AlltoAll with data lacks a participant's input or has a tensor
+    /// not divisible by the participant count (shards must align), or
+    /// an attached fault schedule faults the run.
     pub fn execute(&self, requests: &[ExecutionRequest<'_>]) -> BatchReport {
         match self.try_execute(requests) {
             Ok(report) => report,
@@ -453,7 +701,7 @@ impl<'a> Executor<'a> {
             }
             let elems = (r.tensor.as_u64() / 4) as usize;
             if let Some(inputs) = &r.inputs {
-                for (rank, buf) in inputs {
+                for (rank, buf) in inputs.iter() {
                     if buf.len() != elems {
                         return Err(AdapCCError::InvalidRequest(format!(
                             "input of {rank} has wrong length: {} vs {elems}",
@@ -462,208 +710,247 @@ impl<'a> Executor<'a> {
                     }
                 }
                 if r.strategy.primitive == Primitive::AllToAll {
-                    let n = r.strategy.participants().len();
-                    if !elems.is_multiple_of(n.max(1)) {
+                    let participants = r.strategy.participants();
+                    if !elems.is_multiple_of(participants.len().max(1)) {
                         return Err(AdapCCError::InvalidRequest(
                             "alltoall with data needs shard-aligned tensors".into(),
                         ));
                     }
+                    if let Some(rank) = participants.iter().find(|p| !inputs.contains_key(p)) {
+                        return Err(AdapCCError::InvalidRequest(format!(
+                            "alltoall with data needs an input from every participant; {rank} has none"
+                        )));
+                    }
                 }
             }
         }
-        let mut subs = Vec::new();
+        let mut lowered = Lowered {
+            subs: Vec::new(),
+            slots: NodeSlots {
+                gpus: self.cluster.gpu_count(),
+                len: self.cluster.gpu_count() + self.cluster.instance_count(),
+            },
+            paths: Vec::new(),
+            path_of: vec![NONE; self.topo.edge_count()],
+            twin_of: vec![NONE; self.topo.edge_count()],
+        };
         for (ri, r) in requests.iter().enumerate() {
-            self.lower_request(ri, r, &mut subs);
+            self.lower_request(ri, r, &mut lowered)?;
         }
-        self.run(requests, &subs).map_err(AdapCCError::Fault)
+        self.run(requests, &lowered).map_err(AdapCCError::Fault)
     }
 
     // ---------- lowering ----------
 
-    fn lower_request(&self, ri: usize, req: &ExecutionRequest<'_>, out: &mut Vec<LoweredSub>) {
+    fn lower_request(
+        &self,
+        ri: usize,
+        req: &ExecutionRequest<'_>,
+        out: &mut Lowered,
+    ) -> Result<(), AdapCCError> {
         let elems = (req.tensor.as_u64() / 4) as usize;
-        match req.strategy.primitive {
+        let strategy = req.strategy;
+        match strategy.primitive {
             Primitive::Reduce | Primitive::ReduceScatter => {
-                self.lower_tree(ri, req.strategy, elems, SubKind::Reduce, None, out);
+                self.lower_tree(ri, strategy, elems, SubKind::Reduce, out)
             }
             Primitive::Broadcast | Primitive::AllGather => {
-                self.lower_tree(ri, req.strategy, elems, SubKind::Broadcast, None, out);
+                self.lower_tree(ri, strategy, elems, SubKind::Broadcast, out)
             }
             Primitive::AllReduce => {
-                let bcast = req.strategy.reversed(self.topo, Primitive::Broadcast);
-                let base = out.len();
-                let n_subs = req.strategy.subs.len();
-                self.lower_tree(
-                    ri,
-                    req.strategy,
-                    elems,
-                    SubKind::Reduce,
-                    Some(base + n_subs),
-                    out,
-                );
-                let mut tmp = Vec::new();
-                self.lower_tree(ri, &bcast, elems, SubKind::Broadcast, None, &mut tmp);
-                out.append(&mut tmp);
+                // The Reduce, then its reverse Broadcast: the same flows
+                // run backwards (`Strategy::reversed`, without building
+                // the reversed strategy).
+                let base = out.subs.len();
+                let n_subs = strategy.subs.len();
+                self.lower_tree(ri, strategy, elems, SubKind::Reduce, out)?;
+                self.lower_tree(ri, strategy, elems, SubKind::Broadcast, out)?;
+                for m in 0..n_subs {
+                    let (r, b) = (base + m, base + n_subs + m);
+                    let (rv, bv) = (out.subs[r].root, out.subs[b].root);
+                    if rv != NONE && bv != NONE {
+                        out.subs[r].chain = Some((b, bv));
+                        out.subs[b].fed_by = Some((r, rv));
+                    }
+                }
+                Ok(())
             }
-            Primitive::AllToAll => self.lower_alltoall(ri, req, elems, out),
+            Primitive::AllToAll => self.lower_alltoall(ri, strategy, elems, out),
         }
     }
 
+    /// Lowers every sub of a Reduce or Broadcast tree. A Broadcast of
+    /// an AllReduce strategy is its reverse stage: every flow runs from
+    /// its destination back to its source over the duplex twins of its
+    /// edges, and no node aggregates.
     fn lower_tree(
         &self,
         ri: usize,
         strategy: &Strategy,
         elems: usize,
         kind: SubKind,
-        stage_link_base: Option<usize>,
-        out: &mut Vec<LoweredSub>,
-    ) {
+        out: &mut Lowered,
+    ) -> Result<(), AdapCCError> {
+        let reverse = kind == SubKind::Broadcast && strategy.primitive == Primitive::AllReduce;
         let parts = partition_elems(strategy, elems);
+        let mut route: Vec<EdgeId> = Vec::new();
         for (m, sub) in strategy.subs.iter().enumerate() {
             let (off, len) = parts[m];
-            let mut segments: Vec<Segment> = Vec::new();
-            let mut contributes = BTreeSet::new();
-            let mut kernels = BTreeSet::new();
-            let mut sinks = BTreeSet::new();
-            let mut incoming: BTreeMap<VNode, BTreeSet<usize>> = BTreeMap::new();
+            // Every flow as (src, dst, end of its route in `route`), in
+            // execution direction.
+            route.clear();
+            let mut flows = Vec::with_capacity(sub.flows.len());
+            for f in &sub.flows {
+                if reverse {
+                    for e in f.route.iter().rev() {
+                        route.push(out.twin(self.topo, *e)?);
+                    }
+                    flows.push((f.dst, f.src, route.len()));
+                } else {
+                    route.extend_from_slice(&f.route);
+                    flows.push((f.src, f.dst, route.len()));
+                }
+            }
+            let routes = || {
+                flows.iter().scan(0, |from, &(src, dst, to)| {
+                    let edges = &route[*from..to];
+                    *from = to;
+                    Some((src, dst, edges))
+                })
+            };
             // Broadcast replicas on a shared route prefix must ride the
             // wire once: split segments at fan-out nodes (distinct
             // successors among flows) so identical prefixes dedup.
             // Split also at every flow *destination*: in a chain
             // broadcast one replica stops where others pass through,
             // and only a boundary there lets the shared prefix dedup.
-            let mut fan_out: BTreeSet<LogicalNode> = BTreeSet::new();
+            let slots = out.slots;
+            let mut fan_out = vec![false; slots.len];
             if kind == SubKind::Broadcast {
-                let mut succ: BTreeMap<LogicalNode, BTreeSet<LogicalNode>> = BTreeMap::new();
-                for f in &sub.flows {
-                    let nodes = f.nodes(self.topo);
-                    for w in nodes.windows(2) {
-                        succ.entry(w[0]).or_default().insert(w[1]);
+                let mut succ = vec![NONE; slots.len];
+                for (src, dst, edges) in routes() {
+                    let mut here = slots.of(src);
+                    for e in edges {
+                        let next = slots.of(self.topo.edge(*e).to);
+                        if let (Some(h), Some(n)) = (here, next) {
+                            if succ[h] == NONE {
+                                succ[h] = n;
+                            } else if succ[h] != n {
+                                fan_out[h] = true;
+                            }
+                        }
+                        here = next;
                     }
-                    fan_out.insert(f.dst);
-                }
-                for (n, s) in succ {
-                    if s.len() >= 2 {
-                        fan_out.insert(n);
+                    if let Some(d) = slots.of(dst) {
+                        fan_out[d] = true;
                     }
                 }
             }
-            if kind == SubKind::Reduce {
-                // The root participates with its own tensor too.
-                if let Some(root) = sub.root {
-                    contributes.insert(VNode::first(LogicalNode::Gpu(root)));
+            let mut g = SubGraph::new(kind, slots, off, len);
+            g.chunk_elems = ((sub.chunk.as_u64() / 4) as usize).clamp(1, len.max(1));
+            // Segments by content, keyed `[start, end, edges..]` so a
+            // repeated one is found without building it.
+            let mut seg_id: HashMap<Vec<usize>, usize> = HashMap::new();
+            let mut key: Vec<usize> = Vec::new();
+            let mut aggregates = vec![false; slots.len];
+            for (n, on) in &sub.aggregate {
+                if let Some(s) = slots.of(*n).filter(|_| *on && !reverse) {
+                    aggregates[s] = true;
                 }
             }
-            for f in &sub.flows {
-                if kind == SubKind::Reduce {
-                    contributes.insert(VNode::first(f.src));
-                }
+            let aggregates_at = |n: LogicalNode| slots.of(n).is_some_and(|s| aggregates[s]);
+            let splits_at = |n: LogicalNode| slots.of(n).is_some_and(|s| fan_out[s]);
+            // Per-flow visit generations: (node, visits so far).
+            let mut gens: Vec<(LogicalNode, u8)> = Vec::new();
+            for (src, dst, edges) in routes() {
                 // Walk the route with per-flow visit generations so a
                 // re-entered node gets independent chunk state.
-                let mut visits: BTreeMap<LogicalNode, u8> = BTreeMap::new();
-                visits.insert(f.src, 1);
-                let mut seg_start = VNode::first(f.src);
-                let mut seg_edges = Vec::new();
-                let mut sink_vnode = seg_start;
-                for e in &f.route {
-                    let edge = self.topo.edge(*e);
-                    seg_edges.push(*e);
-                    let gen_ref = visits.entry(edge.to).or_insert(0);
-                    let here = VNode {
-                        node: edge.to,
-                        gen: *gen_ref,
+                gens.clear();
+                gens.push((src, 1));
+                let mut seg_start = VNode::first(src);
+                let mut seg_from = 0;
+                let mut sink = seg_start;
+                for (i, e) in edges.iter().enumerate() {
+                    let to = self.topo.edge(*e).to;
+                    let gen = match gens.iter_mut().find(|(n, _)| *n == to) {
+                        Some((_, seen)) => {
+                            *seen += 1;
+                            *seen - 1
+                        }
+                        None => {
+                            gens.push((to, 1));
+                            0
+                        }
                     };
-                    *gen_ref += 1;
-                    sink_vnode = here;
-                    if sub.aggregates_at(edge.to) || edge.to == f.dst || fan_out.contains(&edge.to)
-                    {
-                        let seg = Segment {
-                            start: seg_start,
-                            end: here,
-                            edges: std::mem::take(&mut seg_edges),
-                        };
-                        let idx = match segments.iter().position(|s| *s == seg) {
-                            Some(i) => i,
-                            None => {
-                                segments.push(seg);
-                                segments.len() - 1
-                            }
-                        };
-                        incoming.entry(here).or_default().insert(idx);
+                    let here = VNode { node: to, gen };
+                    sink = here;
+                    if aggregates_at(to) || to == dst || splits_at(to) {
+                        let (start, end) = (g.visits.intern(seg_start), g.visits.intern(here));
+                        let stretch = &edges[seg_from..=i];
+                        key.clear();
+                        key.extend([start, end]);
+                        key.extend(stretch.iter().map(|e| e.0));
+                        if !seg_id.contains_key(key.as_slice()) {
+                            seg_id.insert(key.clone(), g.segments.len());
+                            g.segments.push(Segment {
+                                start,
+                                end,
+                                edges: stretch.to_vec(),
+                            });
+                        }
                         seg_start = here;
+                        seg_from = i + 1;
                     }
                 }
-                sinks.insert(sink_vnode);
-            }
-            if kind == SubKind::Broadcast {
-                contributes.clear();
-                if let Some(root) = sub.root {
-                    contributes.insert(VNode::first(LogicalNode::Gpu(root)));
-                } else if let Some(f) = sub.flows.first() {
-                    contributes.insert(VNode::first(f.src));
+                match kind {
+                    // The root participates with its own tensor too.
+                    SubKind::Reduce => g.own.push(g.visits.intern(VNode::first(src))),
+                    _ => g.sinks.push(g.visits.intern(sink)),
                 }
             }
-            let mut out_segs: BTreeMap<VNode, Vec<usize>> = BTreeMap::new();
-            for (i, s) in segments.iter().enumerate() {
-                out_segs.entry(s.start).or_default().push(i);
-            }
-            let touched: BTreeSet<VNode> = segments
-                .iter()
-                .flat_map(|s| [s.start, s.end])
-                .chain(contributes.iter().copied())
-                .collect();
-            let mut required = BTreeMap::new();
-            for n in &touched {
-                let inc = incoming.get(n).map_or(0, BTreeSet::len);
-                let own = usize::from(contributes.contains(n));
-                required.insert(*n, inc + own);
-                if kind == SubKind::Reduce && sub.aggregates_at(n.node) && inc + own >= 2 {
-                    kernels.insert(*n);
-                }
-            }
+            let root = sub
+                .root
+                .map(|r| g.visits.intern(VNode::first(LogicalNode::Gpu(r))));
+            let first = |g: &mut SubGraph, node: Option<LogicalNode>| {
+                root.or_else(|| node.map(|n| g.visits.intern(VNode::first(n))))
+            };
+            let ends = flows.first().map(|(src, dst, _)| (*src, *dst));
             if kind == SubKind::Reduce {
-                sinks.clear();
-                if let Some(root) = sub.root {
-                    sinks.insert(VNode::first(LogicalNode::Gpu(root)));
-                } else if let Some(f) = sub.flows.first() {
-                    sinks.insert(VNode::first(f.dst));
+                g.own.extend(root);
+                let sink = first(&mut g, ends.map(|(_, dst)| dst));
+                g.sinks.extend(sink);
+            } else {
+                let origin = first(&mut g, ends.map(|(src, _)| src));
+                g.own.extend(origin);
+            }
+            let mut lowered = self.tables(ri, g, out);
+            lowered.root = root.unwrap_or(NONE);
+            for (v, node) in lowered.visits.iter().enumerate() {
+                if kind == SubKind::Reduce && aggregates_at(node.node) && lowered.required[v] >= 2 {
+                    let LogicalNode::Gpu(rank) = node.node else {
+                        return Err(AdapCCError::InvalidRequest(format!(
+                            "sub-collective {m} aggregates at {}: kernels run on GPUs only",
+                            node.node
+                        )));
+                    };
+                    let (inst, _) = self.cluster.locate(rank);
+                    lowered.kernel[v] = Some(self.cluster.spec(inst).gpu.reduce_bandwidth());
                 }
             }
-            let chunk_elems = ((sub.chunk.as_u64() / 4) as usize).clamp(1, len.max(1));
-            out.push(LoweredSub {
-                request: ri,
-                kind,
-                elem_off: off,
-                elem_len: len,
-                chunk_elems,
-                segments,
-                out_segs,
-                required,
-                contributes,
-                kernels,
-                sinks,
-                stage_link: stage_link_base.map(|b| b + m),
-                root: sub.root.map(|r| VNode::first(LogicalNode::Gpu(r))),
-                p2p_ranges: Vec::new(),
-            });
+            out.subs.push(lowered);
         }
+        Ok(())
     }
 
     fn lower_alltoall(
         &self,
         ri: usize,
-        req: &ExecutionRequest<'_>,
+        strategy: &Strategy,
         elems: usize,
-        out: &mut Vec<LoweredSub>,
-    ) {
-        let strategy = req.strategy;
+        out: &mut Lowered,
+    ) -> Result<(), AdapCCError> {
         let participants = strategy.participants();
         let n = participants.len().max(1);
-        let index_of: HashMap<Rank, usize> = participants
-            .iter()
-            .enumerate()
-            .map(|(i, r)| (*r, i))
-            .collect();
         let shard_sizes = split_elems(elems, n);
         let mut shard_off = vec![0usize; n];
         for j in 1..n {
@@ -671,71 +958,252 @@ impl<'a> Executor<'a> {
         }
         let fracs: Vec<f64> = strategy.subs.iter().map(|s| s.fraction).collect();
         for (m, sub) in strategy.subs.iter().enumerate() {
-            let mut segments = Vec::new();
-            let mut p2p_ranges = Vec::new();
-            let mut sinks = BTreeSet::new();
-            let mut contributes = BTreeSet::new();
-            let mut out_segs: BTreeMap<VNode, Vec<usize>> = BTreeMap::new();
+            let mut g = SubGraph::new(SubKind::PointToPoint, out.slots, 0, 0);
             let mut max_len = 0usize;
-            // Every GPU is both a source and a sink in AlltoAll; the
-            // two roles get distinct visit generations (gen 0 sends,
-            // gen 1 receives) so a source's own readiness cannot
-            // finalize its sink state.
-            let mut inbound: BTreeMap<VNode, usize> = BTreeMap::new();
             for f in &sub.flows {
                 let (LogicalNode::Gpu(src), LogicalNode::Gpu(dst)) = (f.src, f.dst) else {
-                    panic!("alltoall flows connect GPUs");
+                    return Err(AdapCCError::InvalidRequest(format!(
+                        "alltoall flows connect GPUs: sub-collective {m} has a flow {}->{}",
+                        f.src, f.dst
+                    )));
                 };
-                let si = index_of[&src];
-                let di = index_of[&dst];
+                if f.route.is_empty() {
+                    return Err(AdapCCError::InvalidRequest(format!(
+                        "alltoall flow {}->{} of sub-collective {m} has no route",
+                        f.src, f.dst
+                    )));
+                }
+                // Participants are sorted, so a flow's endpoints index
+                // them by binary search.
+                let si = participants.binary_search(&src).unwrap_or(0);
+                let di = participants.binary_search(&dst).unwrap_or(0);
                 // Message src->dst: shard `di` of src's tensor, landing at
                 // shard `si` of dst's tensor. Sub m carries its slice.
                 let (s_off, s_len) = frac_slice(shard_sizes[di], &fracs, m);
                 let (d_off, _d_len) = frac_slice(shard_sizes[si], &fracs, m);
-                let sink = VNode {
+                // Every GPU is both a source and a sink in AlltoAll; the
+                // two roles get distinct visit generations (gen 0 sends,
+                // gen 1 receives) so a source's own readiness cannot
+                // finalize its sink state.
+                let start = g.visits.intern(VNode::first(f.src));
+                let sink = g.visits.intern(VNode {
                     node: f.dst,
                     gen: 1,
-                };
-                segments.push(Segment {
-                    start: VNode::first(f.src),
+                });
+                g.segments.push(Segment {
+                    start,
                     end: sink,
                     edges: f.route.clone(),
                 });
-                p2p_ranges.push(P2pRange {
+                g.p2p_ranges.push(P2pRange {
                     src_off: shard_off[di] + s_off,
                     dst_off: shard_off[si] + d_off,
                     len: s_len,
                 });
                 max_len = max_len.max(s_len);
-                sinks.insert(sink);
-                *inbound.entry(sink).or_insert(0) += 1;
-                contributes.insert(VNode::first(f.src));
-                out_segs
-                    .entry(VNode::first(f.src))
-                    .or_default()
-                    .push(segments.len() - 1);
+                g.own.push(start);
+                g.sinks.push(sink);
             }
-            let chunk_elems = ((sub.chunk.as_u64() / 4) as usize).clamp(1, max_len.max(1));
-            let mut required: BTreeMap<VNode, usize> =
-                contributes.iter().map(|c| (*c, 1)).collect();
-            required.extend(inbound);
-            out.push(LoweredSub {
-                request: ri,
-                kind: SubKind::PointToPoint,
-                elem_off: 0,
-                elem_len: max_len,
-                chunk_elems,
-                segments,
-                out_segs,
-                required,
-                contributes,
-                kernels: BTreeSet::new(),
-                sinks,
-                stage_link: None,
-                root: None,
-                p2p_ranges,
-            });
+            g.elem_len = max_len;
+            g.chunk_elems = ((sub.chunk.as_u64() / 4) as usize).clamp(1, max_len.max(1));
+            let lowered = self.tables(ri, g, out);
+            out.subs.push(lowered);
         }
+        Ok(())
+    }
+
+    /// Derives a sub's dense tables from its graph: per-visit input
+    /// counts, sink and contributor flags, the outgoing segments of
+    /// every visit, and every hop with its interned physical path.
+    fn tables(&self, ri: usize, g: SubGraph, out: &mut Lowered) -> LoweredSub {
+        let SubGraph {
+            kind,
+            elem_off,
+            elem_len,
+            chunk_elems,
+            visits,
+            segments,
+            own: own_list,
+            sinks: sink_list,
+            p2p_ranges,
+        } = g;
+        let visits = visits.nodes;
+        let n = visits.len();
+        let mut own = vec![false; n];
+        let mut contributors = Vec::new();
+        for v in own_list {
+            if !own[v] {
+                own[v] = true;
+                contributors.push(v);
+            }
+        }
+        contributors.sort_unstable_by_key(|v| visits[*v]);
+        let mut sink = vec![false; n];
+        let mut sinks = Vec::new();
+        for v in sink_list {
+            if !sink[v] {
+                sink[v] = true;
+                sinks.push(v);
+            }
+        }
+        let mut required: Vec<usize> = own.iter().map(|o| usize::from(*o)).collect();
+        let mut out_start = vec![0usize; n + 1];
+        for s in &segments {
+            required[s.end] += 1;
+            out_start[s.start + 1] += 1;
+        }
+        for v in 0..n {
+            out_start[v + 1] += out_start[v];
+        }
+        let mut fill = out_start.clone();
+        let mut out_segs = vec![0usize; segments.len()];
+        let mut seg_hop = Vec::with_capacity(segments.len());
+        let mut hops = Vec::new();
+        for (i, s) in segments.iter().enumerate() {
+            out_segs[fill[s.start]] = i;
+            fill[s.start] += 1;
+            seg_hop.push(hops.len());
+            for (k, e) in s.edges.iter().enumerate() {
+                if out.path_of[e.0] == NONE {
+                    out.path_of[e.0] = out.paths.len();
+                    out.paths.push(self.hop_path(*e));
+                }
+                let path = out.path_of[e.0];
+                hops.push(Hop {
+                    seg: i,
+                    last: k + 1 == s.edges.len(),
+                    edge: *e,
+                    path,
+                });
+            }
+        }
+        let n_chunks = if elem_len == 0 {
+            1
+        } else {
+            elem_len.div_ceil(chunk_elems)
+        };
+        LoweredSub {
+            request: ri,
+            kind,
+            elem_off,
+            elem_len,
+            chunk_elems,
+            n_chunks,
+            kernel: vec![None; n],
+            visits,
+            required,
+            own,
+            sink,
+            sinks,
+            contributors,
+            segments,
+            seg_hop,
+            hops,
+            out_start,
+            out_segs,
+            root: NONE,
+            chain: None,
+            fed_by: None,
+            p2p_ranges,
+        }
+    }
+
+    // ---------- data plane ----------
+
+    /// Binds every data run's buffers: where each visit's values live,
+    /// an accumulator for each Reduce visit that receives data, and
+    /// the output tensors sinks write into. AlltoAll outputs start
+    /// with each rank's own shard, which never rides the wire.
+    fn bind_data<'r>(
+        &self,
+        requests: &'r [ExecutionRequest<'_>],
+        subs: &[LoweredSub],
+    ) -> DataPlane<'r> {
+        let mut dp = DataPlane::default();
+        for sub in subs {
+            let req = &requests[sub.request];
+            let Some(inputs) = req.inputs.as_deref() else {
+                dp.src.push(Vec::new());
+                dp.out.push(Vec::new());
+                dp.p2p_src.push(Vec::new());
+                continue;
+            };
+            let elems = (req.tensor.as_u64() / 4) as usize;
+            let mut out = vec![NONE; sub.visits.len()];
+            for &v in &sub.sinks {
+                if let LogicalNode::Gpu(rank) = sub.visits[v].node {
+                    out[v] = dp.output(sub.request, rank, elems);
+                }
+            }
+            let range = sub.elem_off..sub.elem_off + sub.elem_len;
+            let own_input = |v: usize| match sub.visits[v].node {
+                LogicalNode::Gpu(rank) if sub.own[v] => {
+                    inputs.get(&rank).map(|b| &b[range.clone()])
+                }
+                _ => None,
+            };
+            let src = match sub.kind {
+                SubKind::Reduce => (0..sub.visits.len())
+                    .map(|v| {
+                        let input = own_input(v);
+                        if sub.required[v] > usize::from(sub.own[v]) {
+                            let acc =
+                                input.map_or_else(|| vec![0.0; sub.elem_len], <[f32]>::to_vec);
+                            dp.accs.push(acc);
+                            Src::Acc(dp.accs.len() - 1)
+                        } else {
+                            input.map_or(Src::Zero, Src::Input)
+                        }
+                    })
+                    .collect(),
+                SubKind::Broadcast => {
+                    // Every visit forwards the origin's values unchanged.
+                    let origin = match sub.fed_by {
+                        Some((rs, rv)) => dp.src[rs][rv],
+                        None => sub
+                            .contributors
+                            .first()
+                            .and_then(|c| own_input(*c))
+                            .map_or(Src::Zero, Src::Input),
+                    };
+                    vec![origin; sub.visits.len()]
+                }
+                SubKind::PointToPoint => Vec::new(),
+            };
+            let p2p_src = match sub.kind {
+                SubKind::PointToPoint => sub
+                    .segments
+                    .iter()
+                    .map(|s| match sub.visits[s.start].node {
+                        LogicalNode::Gpu(rank) => inputs.get(&rank).map_or(&[][..], Vec::as_slice),
+                        LogicalNode::Nic(_) => &[][..],
+                    })
+                    .collect(),
+                _ => Vec::new(),
+            };
+            dp.src.push(src);
+            dp.out.push(out);
+            dp.p2p_src.push(p2p_src);
+        }
+        for (ri, req) in requests.iter().enumerate() {
+            if req.strategy.primitive != Primitive::AllToAll {
+                continue;
+            }
+            let Some(inputs) = req.inputs.as_deref() else {
+                continue;
+            };
+            let participants = req.strategy.participants();
+            let elems = (req.tensor.as_u64() / 4) as usize;
+            let shard = split_elems(elems, participants.len().max(1));
+            let mut off = 0;
+            for (j, rank) in participants.iter().enumerate() {
+                let o = dp.output(ri, *rank, elems);
+                let own = off..off + shard[j];
+                dp.outputs[o][own.clone()].copy_from_slice(&inputs[rank][own]);
+                off += shard[j];
+            }
+        }
+        dp
     }
 
     // ---------- event loop ----------
@@ -743,9 +1211,9 @@ impl<'a> Executor<'a> {
     fn run(
         &self,
         requests: &[ExecutionRequest<'_>],
-        subs: &[LoweredSub],
+        lowered: &Lowered,
     ) -> Result<BatchReport, FaultReport> {
-        let collect: Vec<bool> = requests.iter().map(|r| r.inputs.is_some()).collect();
+        let subs = &lowered.subs;
         // Cluster-scale fleets run the incremental allocator: chunk
         // waves then pay one frontier refill per touched component
         // rather than a fleet-wide filling per event. Small fleets stay
@@ -762,77 +1230,41 @@ impl<'a> Executor<'a> {
         let mut st = RunState {
             sim,
             tasks: Vec::new(),
-            hops: Vec::new(),
-            nodes: Vec::new(),
-            slot_of: Vec::new(),
+            subs: subs
+                .iter()
+                .map(|sub| {
+                    let cells = sub.visits.len() * sub.n_chunks;
+                    SubState {
+                        hops: sub.hops.iter().map(|_| HopState::default()).collect(),
+                        arrived: vec![0; cells],
+                        finalized: vec![false; cells],
+                        kernels: sub.visits.iter().map(|_| KernelState::default()).collect(),
+                    }
+                })
+                .collect(),
+            data: self.bind_data(requests, subs),
             worklist: VecDeque::new(),
             bytes_on_wire: 0,
             finish: SimTime::ZERO,
             req_finish: vec![SimTime::ZERO; requests.len()],
-            hop_started: HashMap::new(),
             trace: Vec::new(),
-            open: HashSet::new(),
-            telem_enqueued: HashMap::new(),
-            telem_open: HashMap::new(),
         };
-        for sub in subs {
-            st.hops.push(
-                sub.segments
-                    .iter()
-                    .map(|s| s.edges.iter().map(|_| HopState::default()).collect())
-                    .collect(),
-            );
-            let mut slots = BTreeMap::new();
-            let mut states = Vec::new();
-            let touched: BTreeSet<VNode> = sub
-                .segments
-                .iter()
-                .flat_map(|s| [s.start, s.end])
-                .chain(sub.contributes.iter().copied())
-                .collect();
-            let n_chunks = chunk_count(sub);
-            for n in touched {
-                slots.insert(n, states.len());
-                let acc = if collect[sub.request] && sub.kind != SubKind::PointToPoint {
-                    Some(vec![0.0f32; sub.elem_len])
-                } else {
-                    None
-                };
-                states.push(NodeState {
-                    node: n,
-                    arrived: vec![0; n_chunks],
-                    finalized: vec![false; n_chunks],
-                    kernel_busy: false,
-                    kernel_queue: VecDeque::new(),
-                    acc,
-                    written: Vec::new(),
-                });
-            }
-            st.slot_of.push(slots);
-            st.nodes.push(states);
-        }
 
-        // Seed own data and schedule readiness timers.
+        // Schedule every contributor's readiness timer.
         for (si, sub) in subs.iter().enumerate() {
-            let is_chained = subs.iter().any(|o| o.stage_link == Some(si));
-            for n in &sub.contributes {
-                if is_chained && Some(*n) == sub.root {
+            for &v in &sub.contributors {
+                if sub.fed_by.is_some() && v == sub.root {
                     continue; // fed chunk-by-chunk by the reduce stage
                 }
-                let slot = st.slot_of[si][n];
-                let LogicalNode::Gpu(rank) = &n.node else {
+                let LogicalNode::Gpu(rank) = &sub.visits[v].node else {
                     continue;
                 };
-                let req = &requests[sub.request];
-                if sub.kind != SubKind::PointToPoint {
-                    if let (Some(inputs), Some(acc)) = (&req.inputs, &mut st.nodes[si][slot].acc) {
-                        if let Some(buf) = inputs.get(rank) {
-                            acc.copy_from_slice(&buf[sub.elem_off..sub.elem_off + sub.elem_len]);
-                        }
-                    }
-                }
-                let at = req.ready.get(rank).copied().unwrap_or(SimTime::ZERO);
-                st.tasks.push(Task::OwnReady { sub: si, slot });
+                let at = requests[sub.request]
+                    .ready
+                    .get(rank)
+                    .copied()
+                    .unwrap_or(SimTime::ZERO);
+                st.tasks.push(Task::OwnReady { sub: si, visit: v });
                 let token = st.tasks.len() as u64 - 1;
                 st.sim
                     .schedule_timer(at.duration_since(SimTime::ZERO), token);
@@ -841,137 +1273,137 @@ impl<'a> Executor<'a> {
 
         loop {
             while let Some(action) = st.worklist.pop_front() {
-                self.apply(requests, subs, &mut st, action);
+                self.apply(lowered, &mut st, action);
             }
             let Some(ev) = st.sim.step() else { break };
-            let task = st.tasks[ev.token() as usize];
-            match (ev, task) {
-                (SimEvent::Timer { .. }, Task::OwnReady { sub: si, slot }) => {
-                    for chunk in 0..chunk_count(&subs[si]) {
-                        st.nodes[si][slot].arrived[chunk] += 1;
-                        self.try_finalize(subs, &mut st, si, slot, chunk);
+            let token = ev.token() as usize;
+            match (ev, st.tasks[token]) {
+                (SimEvent::Timer { .. }, Task::OwnReady { sub: si, visit }) => {
+                    for chunk in 0..subs[si].n_chunks {
+                        st.subs[si].arrived[visit * subs[si].n_chunks + chunk] += 1;
+                        self.try_finalize(subs, &mut st, si, visit, chunk);
                     }
                 }
                 (
                     SimEvent::Timer { .. },
                     Task::Kernel {
                         sub: si,
-                        slot,
+                        visit,
                         chunk,
                     },
                 ) => {
-                    st.nodes[si][slot].kernel_busy = false;
+                    st.subs[si].kernels[visit].busy = false;
                     st.worklist.push_back(Action::Finalize {
                         sub: si,
-                        slot,
+                        visit,
                         chunk,
                     });
-                    if let Some(next) = st.nodes[si][slot].kernel_queue.pop_front() {
-                        self.start_kernel(subs, &mut st, si, slot, next);
+                    if let Some(next) = st.subs[si].kernels[visit].queue.pop_front() {
+                        self.start_kernel(subs, &mut st, si, visit, next);
                     }
                 }
                 (
                     SimEvent::TransferDone { .. },
                     Task::Hop {
                         sub: si,
-                        seg,
                         hop,
                         chunk,
                     },
                 ) => {
-                    st.open.remove(&(ev.token() as usize));
-                    if self.tracing {
-                        if let Some(start) = st.hop_started.remove(&(ev.token() as usize)) {
-                            let edge = subs[si].segments[seg].edges[hop];
-                            let e = self.topo.edge(edge);
-                            st.trace.push(TraceSpan {
-                                request: subs[si].request,
-                                sub: si,
-                                chunk,
-                                hop: format!("{}->{}", e.from, e.to),
-                                start,
-                                end: st.sim.now(),
-                            });
-                        }
+                    let h = subs[si].hops[hop];
+                    let done = st.subs[si].hops[hop].inflight.take();
+                    if let Some(f) = done.filter(|_| self.tracing) {
+                        let e = self.topo.edge(h.edge);
+                        st.trace.push(TraceSpan {
+                            request: subs[si].request,
+                            sub: si,
+                            chunk,
+                            hop: format!("{}->{}", e.from, e.to),
+                            start: f.start,
+                            end: st.sim.now(),
+                        });
                     }
-                    if let Some((enq, start, bytes)) = st.telem_open.remove(&(ev.token() as usize))
-                    {
-                        let e = self.topo.edge(subs[si].segments[seg].edges[hop]);
+                    if let Some(f) = done.filter(|_| self.telemetry.is_enabled()) {
+                        let e = self.topo.edge(h.edge);
                         self.telemetry.flow(adapcc_telemetry::FlowRecord {
                             link: format!("{}->{}", e.from, e.to),
-                            bytes,
-                            enqueued_secs: enq.as_secs(),
-                            start_secs: start.as_secs(),
+                            bytes: f.bytes,
+                            enqueued_secs: f.enqueued.as_secs(),
+                            start_secs: f.start.as_secs(),
                             end_secs: st.sim.now().as_secs(),
                             request: subs[si].request,
                             sub: si,
                             chunk,
                         });
                     }
-                    st.hops[si][seg][hop].busy = false;
-                    if let Some(c) = st.hops[si][seg][hop].queue.pop_front() {
-                        self.start_hop(subs, &mut st, si, seg, hop, c);
+                    if let Some((c, enqueued)) = st.subs[si].hops[hop].queue.pop_front() {
+                        self.start_hop(lowered, &mut st, si, hop, c, enqueued);
                     }
-                    if hop + 1 < subs[si].segments[seg].edges.len() {
-                        self.enqueue_hop(subs, &mut st, si, seg, hop + 1, chunk);
-                    } else {
+                    if h.last {
                         st.worklist.push_back(Action::Deliver {
                             sub: si,
-                            seg,
+                            seg: h.seg,
                             chunk,
                         });
+                    } else {
+                        self.enqueue_hop(lowered, &mut st, si, hop + 1, chunk);
                     }
                 }
                 (
                     SimEvent::TransferAborted { .. },
                     Task::Hop {
                         sub: si,
-                        seg,
                         hop,
                         chunk,
                     },
                 ) => {
-                    st.open.remove(&(ev.token() as usize));
                     let at = st.sim.now();
-                    let edge = subs[si].segments[seg].edges[hop];
+                    let edge = subs[si].hops[hop].edge;
                     return Err(self.fault_report(FaultKind::TransferAborted, at, edge, chunk));
                 }
                 (SimEvent::Timer { .. }, Task::HopDeadline { hop_task }) => {
-                    if st.open.contains(&hop_task) {
-                        let Task::Hop {
-                            sub: si,
-                            seg,
-                            hop,
-                            chunk,
-                        } = st.tasks[hop_task]
-                        else {
-                            unreachable!("deadline timers reference hop tasks");
-                        };
+                    let Task::Hop {
+                        sub: si,
+                        hop,
+                        chunk,
+                    } = st.tasks[hop_task]
+                    else {
+                        unreachable!("deadline timers reference hop tasks");
+                    };
+                    let open = st.subs[si].hops[hop].inflight;
+                    if open.is_some_and(|f| f.token == hop_task) {
                         let at = st.sim.now();
-                        let edge = subs[si].segments[seg].edges[hop];
+                        let edge = subs[si].hops[hop].edge;
                         return Err(self.fault_report(FaultKind::HopTimeout, at, edge, chunk));
                     }
                 }
-                (ev, task) => panic!("event/task mismatch: {ev:?} vs {task:?}"),
+                (ev, task) => unreachable!("event/task mismatch: {ev:?} vs {task:?}"),
             }
         }
 
         // Completion audit (fault-aware runs only): the event queue
         // drained, so anything unfinalized now never finishes — report
-        // a stall instead of returning a silently incomplete batch.
+        // a stall (the first sub's least unfinished sink) instead of
+        // returning a silently incomplete batch.
         if self.faults.is_some() {
             for (si, sub) in subs.iter().enumerate() {
-                for sink in &sub.sinks {
-                    let slot = st.slot_of[si][sink];
-                    if let Some(chunk) = st.nodes[si][slot].finalized.iter().position(|f| !f) {
-                        return Err(FaultReport {
-                            kind: FaultKind::Incomplete,
-                            at: st.sim.now(),
-                            links: Vec::new(),
-                            suspects: self.suspects_of(sink.node),
-                            hop: format!("sink {} missing chunk {chunk}", sink.node),
-                        });
-                    }
+                let unfinished = sub
+                    .sinks
+                    .iter()
+                    .filter_map(|&v| {
+                        let cells =
+                            &st.subs[si].finalized[v * sub.n_chunks..(v + 1) * sub.n_chunks];
+                        cells.iter().position(|f| !f).map(|c| (sub.visits[v], c))
+                    })
+                    .min();
+                if let Some((sink, chunk)) = unfinished {
+                    return Err(FaultReport {
+                        kind: FaultKind::Incomplete,
+                        at: st.sim.now(),
+                        links: Vec::new(),
+                        suspects: self.suspects_of(sink.node),
+                        hop: format!("sink {} missing chunk {chunk}", sink.node),
+                    });
                 }
             }
         }
@@ -985,70 +1417,53 @@ impl<'a> Executor<'a> {
                 .add_counter("exec.requests", requests.len() as f64);
         }
 
-        Ok(self.assemble(requests, subs, st))
+        Ok(assemble(st))
     }
 
-    fn apply(
-        &self,
-        requests: &[ExecutionRequest<'_>],
-        subs: &[LoweredSub],
-        st: &mut RunState<'_>,
-        action: Action,
-    ) {
+    fn apply(&self, lowered: &Lowered, st: &mut RunState<'_, '_>, action: Action) {
+        let subs = &lowered.subs;
         match action {
             Action::Finalize {
                 sub: si,
-                slot,
+                visit,
                 chunk,
             } => {
-                if st.nodes[si][slot].finalized[chunk] {
+                let sub = &subs[si];
+                let cell = visit * sub.n_chunks + chunk;
+                if st.subs[si].finalized[cell] {
                     return;
                 }
-                st.nodes[si][slot].finalized[chunk] = true;
-                let sub = &subs[si];
-                let node = st.nodes[si][slot].node;
-                if sub.sinks.contains(&node) {
+                st.subs[si].finalized[cell] = true;
+                if sub.sink[visit] {
                     st.finish = st.finish.max(st.sim.now());
                     st.req_finish[sub.request] = st.req_finish[sub.request].max(st.sim.now());
-                }
-                if let (Some(link), Some(root)) = (sub.stage_link, sub.root) {
-                    if node == root {
-                        // The chained broadcast's root visit is its first.
-                        let dslot = st.slot_of[link][&root];
-                        if st.nodes[si][slot].acc.is_some() {
-                            let (a, b) = chunk_range(sub, chunk);
-                            let vals: Vec<f32> =
-                                st.nodes[si][slot].acc.as_ref().expect("acc")[a..b].to_vec();
-                            // The chained broadcast carries the same
-                            // partition layout, so ranges coincide.
-                            if let Some(dacc) = &mut st.nodes[link][dslot].acc {
-                                dacc[a..b].copy_from_slice(&vals);
-                            }
-                        }
-                        st.worklist.push_back(Action::Finalize {
-                            sub: link,
-                            slot: dslot,
-                            chunk,
-                        });
+                    if sub.kind != SubKind::PointToPoint {
+                        write_output(sub, &mut st.data, si, visit, chunk);
                     }
+                }
+                if let Some((link, root)) = sub.chain.filter(|_| visit == sub.root) {
+                    // The chained broadcast's root reads this root's
+                    // values in place; its chunk k is ready now.
+                    st.worklist.push_back(Action::Finalize {
+                        sub: link,
+                        visit: root,
+                        chunk,
+                    });
                 }
                 st.worklist.push_back(Action::StartSegs {
                     sub: si,
-                    slot,
+                    visit,
                     chunk,
                 });
             }
             Action::StartSegs {
                 sub: si,
-                slot,
+                visit,
                 chunk,
             } => {
-                let node = st.nodes[si][slot].node;
-                let Some(seg_ids) = subs[si].out_segs.get(&node) else {
-                    return;
-                };
-                for &seg in seg_ids.clone().iter() {
-                    self.enqueue_hop(subs, st, si, seg, 0, chunk);
+                let sub = &subs[si];
+                for &seg in &sub.out_segs[sub.out_start[visit]..sub.out_start[visit + 1]] {
+                    self.enqueue_hop(lowered, st, si, sub.seg_hop[seg], chunk);
                 }
             }
             Action::Deliver {
@@ -1058,48 +1473,11 @@ impl<'a> Executor<'a> {
             } => {
                 let sub = &subs[si];
                 let end = sub.segments[seg].end;
-                let start = sub.segments[seg].start;
-                let slot = st.slot_of[si][&end];
-                let req = &requests[sub.request];
-                if sub.kind == SubKind::PointToPoint {
-                    if let Some(inputs) = &req.inputs {
-                        let r = sub.p2p_ranges[seg];
-                        let (a, b) = chunk_range(sub, chunk);
-                        let b = b.min(r.len);
-                        if a < b {
-                            let LogicalNode::Gpu(srank) = start.node else {
-                                panic!("gpu")
-                            };
-                            let vals: Vec<f32> =
-                                inputs[&srank][r.src_off + a..r.src_off + b].to_vec();
-                            let elems = (req.tensor.as_u64() / 4) as usize;
-                            let node = &mut st.nodes[si][slot];
-                            let acc = node.acc.get_or_insert_with(|| vec![0.0; elems]);
-                            acc[r.dst_off + a..r.dst_off + b].copy_from_slice(&vals);
-                            node.written.push((r.dst_off + a, r.dst_off + b));
-                        }
-                    }
-                } else {
-                    let sslot = st.slot_of[si][&start];
-                    let (a, b) = chunk_range(sub, chunk);
-                    if st.nodes[si][sslot].acc.is_some() {
-                        let vals: Vec<f32> =
-                            st.nodes[si][sslot].acc.as_ref().expect("acc")[a..b].to_vec();
-                        if let Some(dacc) = &mut st.nodes[si][slot].acc {
-                            match sub.kind {
-                                SubKind::Reduce => {
-                                    for (d, v) in dacc[a..b].iter_mut().zip(&vals) {
-                                        *d += v;
-                                    }
-                                }
-                                SubKind::Broadcast => dacc[a..b].copy_from_slice(&vals),
-                                SubKind::PointToPoint => unreachable!(),
-                            }
-                        }
-                    }
+                if !st.data.out[si].is_empty() {
+                    deliver(sub, &mut st.data, si, seg, chunk);
                 }
-                st.nodes[si][slot].arrived[chunk] += 1;
-                self.try_finalize(subs, st, si, slot, chunk);
+                st.subs[si].arrived[end * sub.n_chunks + chunk] += 1;
+                self.try_finalize(subs, st, si, end, chunk);
             }
         }
     }
@@ -1107,27 +1485,27 @@ impl<'a> Executor<'a> {
     fn try_finalize(
         &self,
         subs: &[LoweredSub],
-        st: &mut RunState<'_>,
+        st: &mut RunState<'_, '_>,
         si: usize,
-        slot: usize,
+        visit: usize,
         chunk: usize,
     ) {
         let sub = &subs[si];
-        let node = st.nodes[si][slot].node;
-        let need = sub.required.get(&node).copied().unwrap_or(0).max(1);
-        if st.nodes[si][slot].arrived[chunk] < need || st.nodes[si][slot].finalized[chunk] {
+        let cell = visit * sub.n_chunks + chunk;
+        let need = sub.required[visit].max(1);
+        if st.subs[si].arrived[cell] < need || st.subs[si].finalized[cell] {
             return;
         }
-        if sub.kernels.contains(&node) {
-            if st.nodes[si][slot].kernel_busy {
-                st.nodes[si][slot].kernel_queue.push_back(chunk);
+        if sub.kernel[visit].is_some() {
+            if st.subs[si].kernels[visit].busy {
+                st.subs[si].kernels[visit].queue.push_back(chunk);
             } else {
-                self.start_kernel(subs, st, si, slot, chunk);
+                self.start_kernel(subs, st, si, visit, chunk);
             }
         } else {
             st.worklist.push_back(Action::Finalize {
                 sub: si,
-                slot,
+                visit,
                 chunk,
             });
         }
@@ -1136,23 +1514,19 @@ impl<'a> Executor<'a> {
     fn start_kernel(
         &self,
         subs: &[LoweredSub],
-        st: &mut RunState<'_>,
+        st: &mut RunState<'_, '_>,
         si: usize,
-        slot: usize,
+        visit: usize,
         chunk: usize,
     ) {
-        let node = st.nodes[si][slot].node;
-        let LogicalNode::Gpu(rank) = node.node else {
-            panic!("kernels run on GPUs only");
-        };
-        let (inst, _) = self.cluster.locate(rank);
-        let gen = self.cluster.spec(inst).gpu;
-        let bytes = chunk_bytes(&subs[si], chunk);
-        let dur = kernel_launch_overhead() + gen.reduce_bandwidth().time_for(bytes);
-        st.nodes[si][slot].kernel_busy = true;
+        let sub = &subs[si];
+        // Only kernel visits (lowered with their GPU's bandwidth) queue.
+        let bw = sub.kernel[visit].unwrap_or_default();
+        let dur = kernel_launch_overhead() + bw.time_for(sub.chunk_bytes(chunk));
+        st.subs[si].kernels[visit].busy = true;
         st.tasks.push(Task::Kernel {
             sub: si,
-            slot,
+            visit,
             chunk,
         });
         let token = st.tasks.len() as u64 - 1;
@@ -1161,74 +1535,60 @@ impl<'a> Executor<'a> {
 
     fn enqueue_hop(
         &self,
-        subs: &[LoweredSub],
-        st: &mut RunState<'_>,
+        lowered: &Lowered,
+        st: &mut RunState<'_, '_>,
         si: usize,
-        seg: usize,
         hop: usize,
         chunk: usize,
     ) {
-        if st.hops[si][seg][hop].busy {
-            if self.telemetry.is_enabled() {
-                st.telem_enqueued
-                    .insert((si, seg, hop, chunk), st.sim.now());
-            }
-            st.hops[si][seg][hop].queue.push_back(chunk);
+        let now = st.sim.now();
+        let state = &mut st.subs[si].hops[hop];
+        if state.inflight.is_some() {
+            state.queue.push_back((chunk, now));
         } else {
-            self.start_hop(subs, st, si, seg, hop, chunk);
+            self.start_hop(lowered, st, si, hop, chunk, now);
         }
     }
 
     fn start_hop(
         &self,
-        subs: &[LoweredSub],
-        st: &mut RunState<'_>,
+        lowered: &Lowered,
+        st: &mut RunState<'_, '_>,
         si: usize,
-        seg: usize,
         hop: usize,
         chunk: usize,
+        enqueued: SimTime,
     ) {
-        let sub = &subs[si];
-        let edge = sub.segments[seg].edges[hop];
-        let path = self.hop_path(edge);
+        let sub = &lowered.subs[si];
+        let h = sub.hops[hop];
+        let path = &lowered.paths[h.path];
         let bytes = if sub.kind == SubKind::PointToPoint {
             // Per-segment slice length bounds the chunk.
-            let r = sub.p2p_ranges[seg];
-            let (a, b) = chunk_range(sub, chunk);
+            let r = sub.p2p_ranges[h.seg];
+            let (a, b) = sub.chunk_range(chunk);
             ByteSize::from_bytes(((b.min(r.len)).saturating_sub(a) * 4) as u64)
         } else {
-            chunk_bytes(sub, chunk)
+            sub.chunk_bytes(chunk)
         };
         st.bytes_on_wire += bytes.as_u64();
         st.tasks.push(Task::Hop {
             sub: si,
-            seg,
             hop,
             chunk,
         });
-        let token = st.tasks.len() as u64 - 1;
-        if self.tracing {
-            st.hop_started.insert(token as usize, st.sim.now());
-        }
-        if self.telemetry.is_enabled() {
-            let start = st.sim.now();
-            let enqueued = st
-                .telem_enqueued
-                .remove(&(si, seg, hop, chunk))
-                .unwrap_or(start);
-            st.telem_open
-                .insert(token as usize, (enqueued, start, bytes.as_u64()));
-        }
-        st.sim.submit_transfer(&path, bytes, token);
-        st.hops[si][seg][hop].busy = true;
+        let token = st.tasks.len() - 1;
+        st.sim.submit_transfer(path, bytes, token as u64);
+        st.subs[si].hops[hop].inflight = Some(InFlight {
+            token,
+            enqueued,
+            start: st.sim.now(),
+            bytes: bytes.as_u64(),
+        });
         if self.faults.is_some() {
             // Stall detector: a deadline timer races the transfer. If
             // it fires while the hop is still open, the hop stalled.
-            st.open.insert(token as usize);
-            let deadline = self.hop_deadline(&path, bytes);
-            st.tasks.push(Task::HopDeadline {
-                hop_task: token as usize,
-            });
+            let deadline = self.hop_deadline(path, bytes);
+            st.tasks.push(Task::HopDeadline { hop_task: token });
             let dl = st.tasks.len() as u64 - 1;
             st.sim.schedule_timer(deadline, dl);
         }
@@ -1300,77 +1660,6 @@ impl<'a> Executor<'a> {
         }
     }
 
-    fn assemble(
-        &self,
-        requests: &[ExecutionRequest<'_>],
-        subs: &[LoweredSub],
-        st: RunState<'_>,
-    ) -> BatchReport {
-        let mut reports: Vec<RequestReport> = st
-            .req_finish
-            .iter()
-            .map(|f| RequestReport {
-                finish: *f,
-                outputs: BTreeMap::new(),
-            })
-            .collect();
-        for (si, sub) in subs.iter().enumerate() {
-            if requests[sub.request].inputs.is_none() {
-                continue;
-            }
-            let req = &requests[sub.request];
-            let elems = (req.tensor.as_u64() / 4) as usize;
-            for sink in &sub.sinks {
-                let LogicalNode::Gpu(rank) = &sink.node else {
-                    continue;
-                };
-                let slot = st.slot_of[si][sink];
-                let state = &st.nodes[si][slot];
-                let Some(acc) = &state.acc else { continue };
-                let out = reports[sub.request]
-                    .outputs
-                    .entry(*rank)
-                    .or_insert_with(|| vec![0.0; elems]);
-                if sub.kind == SubKind::PointToPoint {
-                    for (a, b) in &state.written {
-                        out[*a..*b].copy_from_slice(&acc[*a..*b]);
-                    }
-                } else {
-                    out[sub.elem_off..sub.elem_off + sub.elem_len].copy_from_slice(acc);
-                }
-            }
-        }
-        // AlltoAll keeps each rank's own shard locally.
-        for (ri, req) in requests.iter().enumerate() {
-            if req.strategy.primitive != Primitive::AllToAll {
-                continue;
-            }
-            let Some(inputs) = &req.inputs else { continue };
-            let participants = req.strategy.participants();
-            let n = participants.len();
-            let elems = (req.tensor.as_u64() / 4) as usize;
-            let shard = split_elems(elems, n.max(1));
-            let mut offs = vec![0usize; n];
-            for j in 1..n {
-                offs[j] = offs[j - 1] + shard[j - 1];
-            }
-            for (j, rank) in participants.iter().enumerate() {
-                let own = inputs[rank][offs[j]..offs[j] + shard[j]].to_vec();
-                let out = reports[ri]
-                    .outputs
-                    .entry(*rank)
-                    .or_insert_with(|| vec![0.0; elems]);
-                out[offs[j]..offs[j] + shard[j]].copy_from_slice(&own);
-            }
-        }
-        BatchReport {
-            finish: st.finish,
-            requests: reports,
-            bytes_on_wire: st.bytes_on_wire,
-            trace: st.trace,
-        }
-    }
-
     /// Physical path of a logical edge, including per-chunk staging
     /// overhead on non-GPU-Direct (TCP) network hops.
     fn hop_path(&self, edge: EdgeId) -> Path {
@@ -1389,25 +1678,82 @@ impl<'a> Executor<'a> {
 
 // ---------- free helpers ----------
 
-fn chunk_count(sub: &LoweredSub) -> usize {
-    if sub.elem_len == 0 {
-        1
-    } else {
-        sub.elem_len.div_ceil(sub.chunk_elems)
+/// Moves a finished run's output tensors into per-request reports.
+fn assemble(st: RunState<'_, '_>) -> BatchReport {
+    let mut requests: Vec<RequestReport> = st
+        .req_finish
+        .iter()
+        .map(|f| RequestReport {
+            finish: *f,
+            outputs: BTreeMap::new(),
+        })
+        .collect();
+    let DataPlane {
+        outputs, owners, ..
+    } = st.data;
+    for (buf, (ri, rank)) in outputs.into_iter().zip(owners) {
+        requests[ri].outputs.insert(rank, buf);
+    }
+    BatchReport {
+        finish: st.finish,
+        requests,
+        bytes_on_wire: st.bytes_on_wire,
+        trace: st.trace,
     }
 }
 
-/// Element range `[a, b)` of chunk `k`, relative to the sub's
-/// partition.
-fn chunk_range(sub: &LoweredSub, k: usize) -> (usize, usize) {
-    let a = (k * sub.chunk_elems).min(sub.elem_len);
-    let b = ((k + 1) * sub.chunk_elems).min(sub.elem_len);
-    (a, b)
+/// A tree sink's finalized chunk, written into its output tensor.
+fn write_output(sub: &LoweredSub, dp: &mut DataPlane<'_>, si: usize, visit: usize, chunk: usize) {
+    let Some(&o) = dp.out[si].get(visit).filter(|o| **o != NONE) else {
+        return;
+    };
+    let (a, b) = sub.chunk_range(chunk);
+    if let Some(vals) = values(&dp.accs, dp.src[si][visit], a, b) {
+        dp.outputs[o][sub.elem_off + a..sub.elem_off + b].copy_from_slice(vals);
+    }
 }
 
-fn chunk_bytes(sub: &LoweredSub, k: usize) -> ByteSize {
-    let (a, b) = chunk_range(sub, k);
-    ByteSize::from_bytes(((b - a) * 4) as u64)
+/// Moves chunk `chunk` of segment `seg` into its end visit: a Reduce
+/// visit adds it into its accumulator, a point-to-point sink copies
+/// its slice into the output tensor. Broadcast visits hold no values
+/// of their own, so a Broadcast delivery moves none.
+fn deliver(sub: &LoweredSub, dp: &mut DataPlane<'_>, si: usize, seg: usize, chunk: usize) {
+    let Segment { start, end, .. } = sub.segments[seg];
+    let (a, b) = sub.chunk_range(chunk);
+    match sub.kind {
+        SubKind::PointToPoint => {
+            let r = sub.p2p_ranges[seg];
+            let b = b.min(r.len);
+            let o = dp.out[si][end];
+            if a < b && o != NONE {
+                let src = &dp.p2p_src[si][seg][r.src_off + a..r.src_off + b];
+                dp.outputs[o][r.dst_off + a..r.dst_off + b].copy_from_slice(src);
+            }
+        }
+        SubKind::Reduce => {
+            // Visits with an incoming segment accumulate.
+            let Src::Acc(d) = dp.src[si][end] else {
+                return;
+            };
+            let mut acc = std::mem::take(&mut dp.accs[d]);
+            match values(&dp.accs, dp.src[si][start], a, b) {
+                Some(vals) => {
+                    for (x, v) in acc[a..b].iter_mut().zip(vals) {
+                        *x += v;
+                    }
+                }
+                // A contributor without data adds zeros, as a zeroed
+                // buffer would (which turns a -0.0 sum into +0.0).
+                None => {
+                    for x in &mut acc[a..b] {
+                        *x += 0.0;
+                    }
+                }
+            }
+            dp.accs[d] = acc;
+        }
+        SubKind::Broadcast => {}
+    }
 }
 
 /// Largest-remainder split of `len` items into `n` parts.
@@ -1843,6 +2189,109 @@ mod tests {
             matches!(&err, AdapCCError::InvalidRequest(msg) if msg.contains("f32-aligned")),
             "{err}"
         );
+    }
+
+    /// A one-sub strategy over `flows` (given as node chains) on
+    /// `topo`, aggregating at `aggregate`.
+    fn hand_built(
+        topo: &LogicalTopology,
+        primitive: Primitive,
+        root: Option<Rank>,
+        chains: &[&[LogicalNode]],
+        aggregate: &[LogicalNode],
+    ) -> Strategy {
+        use adapcc_synth::strategy::{Flow, SubCollective};
+        let flows = chains
+            .iter()
+            .map(|nodes| Flow {
+                src: nodes[0],
+                dst: nodes[nodes.len() - 1],
+                route: nodes
+                    .windows(2)
+                    .map(|w| topo.edge_between(w[0], w[1]).expect("edge"))
+                    .collect(),
+            })
+            .collect();
+        let strategy = Strategy {
+            primitive,
+            subs: vec![SubCollective {
+                fraction: 1.0,
+                chunk: ByteSize::from_kib(4),
+                root,
+                flows,
+                aggregate: aggregate.iter().map(|n| (*n, true)).collect(),
+            }],
+        };
+        assert_eq!(
+            strategy.validate(topo),
+            Ok(()),
+            "hand-built strategies validate"
+        );
+        strategy
+    }
+
+    fn invalid_request(exec: &Executor<'_>, strategy: &Strategy, elems: usize) -> String {
+        let ranks: Vec<Rank> = (0..8).map(Rank).collect();
+        let tensor = ByteSize::from_bytes((elems * 4) as u64);
+        let request =
+            ExecutionRequest::timing(strategy, tensor).with_inputs(inputs_for(&ranks, elems));
+        match exec.try_execute(&[request]) {
+            Err(AdapCCError::InvalidRequest(msg)) => msg,
+            other => panic!("expected an invalid request, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn aggregating_at_a_nic_is_an_invalid_request() {
+        use adapcc_simnet::cluster::InstanceId;
+        let c = Cluster::homogeneous_a100(2);
+        let (topo, _) = setup(&c);
+        let (g, nic) = (
+            |r: usize| LogicalNode::Gpu(Rank(r)),
+            |i: usize| LogicalNode::Nic(InstanceId(i)),
+        );
+        // Two flows meet at nic1, which claims to aggregate them.
+        let strategy = hand_built(
+            &topo,
+            Primitive::Reduce,
+            Some(Rank(0)),
+            &[&[g(4), nic(1), nic(0), g(0)], &[g(5), nic(1), nic(0), g(0)]],
+            &[nic(1), g(0)],
+        );
+        let msg = invalid_request(&Executor::new(&c, &topo), &strategy, 1024);
+        assert!(msg.contains("kernels run on GPUs only"), "{msg}");
+    }
+
+    #[test]
+    fn alltoall_flows_touching_a_nic_are_invalid_requests() {
+        use adapcc_simnet::cluster::InstanceId;
+        let c = Cluster::homogeneous_a100(2);
+        let (topo, _) = setup(&c);
+        let (g, nic) = (
+            |r: usize| LogicalNode::Gpu(Rank(r)),
+            |i: usize| LogicalNode::Nic(InstanceId(i)),
+        );
+        let exec = Executor::new(&c, &topo);
+        // A NIC as the sender: no tensor to read the message from.
+        let from_nic = hand_built(
+            &topo,
+            Primitive::AllToAll,
+            None,
+            &[&[g(0), nic(0), nic(1), g(4)], &[nic(1), g(5)]],
+            &[],
+        );
+        let msg = invalid_request(&exec, &from_nic, 384);
+        assert!(msg.contains("alltoall flows connect GPUs"), "{msg}");
+        // A NIC as the receiver: no tensor to land the message in.
+        let to_nic = hand_built(
+            &topo,
+            Primitive::AllToAll,
+            None,
+            &[&[g(4), nic(1), nic(0)], &[g(0), nic(0), nic(1), g(4)]],
+            &[],
+        );
+        let msg = invalid_request(&exec, &to_nic, 384);
+        assert!(msg.contains("alltoall flows connect GPUs"), "{msg}");
     }
 
     #[test]

@@ -268,13 +268,19 @@ pub(crate) fn validate_sub(
         }
     }
     // Aggregating nodes: all flows leaving the node go to the same
-    // successor.
+    // successor. The same walk collects the synchronization graph:
+    // an arc between consecutive boundaries (route ends and
+    // aggregating nodes) of every flow.
+    let any_aggregation = sub.aggregate.values().any(|v| *v);
     let mut successor: HashMap<LogicalNode, LogicalNode> = HashMap::new();
+    let mut arcs: Vec<(LogicalNode, LogicalNode)> = Vec::new();
     for flow in &sub.flows {
-        let nodes = flow.nodes(topo);
-        for w in nodes.windows(2) {
-            let (here, next) = (w[0], w[1]);
-            if sub.aggregates_at(here) {
+        let mut here = flow.src;
+        let mut here_aggregates = sub.aggregates_at(here);
+        let mut boundary = here;
+        for (i, e) in flow.route.iter().enumerate() {
+            let next = topo.edge(*e).to;
+            if here_aggregates {
                 if let Some(prev) = successor.insert(here, next) {
                     if prev != next {
                         return Err(InvalidStrategy::DivergentAggregation {
@@ -284,14 +290,21 @@ pub(crate) fn validate_sub(
                     }
                 }
             }
+            here = next;
+            here_aggregates = sub.aggregates_at(here);
+            if any_aggregation && (here_aggregates || i + 1 == flow.route.len()) {
+                if boundary != here {
+                    arcs.push((boundary, here));
+                }
+                boundary = here;
+            }
         }
     }
     // Acyclicity of the union graph — only needed when aggregation
     // creates cross-flow chunk dependencies. Independent point-to-point
     // flows (AlltoAll) may legally form cycles in the union
     // (gpu0→gpu1 and gpu1→gpu0).
-    let any_aggregation = sub.aggregate.values().any(|v| *v);
-    if any_aggregation && has_cycle(sub, topo) {
+    if any_aggregation && has_cycle(arcs) {
         return Err(InvalidStrategy::CyclicGraph { sub: si });
     }
     Ok(())
@@ -357,49 +370,38 @@ pub(crate) fn reversed_sub(sub: &SubCollective, topo: &LogicalTopology) -> SubCo
 /// aggregation points, destinations). Interior forwarders (NICs) are
 /// skipped — a route legitimately enters and leaves the same NIC at
 /// different tree levels, which is not a dependency cycle.
-fn has_cycle(sub: &SubCollective, topo: &LogicalTopology) -> bool {
-    let mut adj: HashMap<LogicalNode, HashSet<LogicalNode>> = HashMap::new();
-    for f in &sub.flows {
-        let nodes = f.nodes(topo);
-        let boundaries: Vec<LogicalNode> = nodes
-            .iter()
-            .enumerate()
-            .filter(|(i, n)| *i == 0 || *i + 1 == nodes.len() || sub.aggregates_at(**n))
-            .map(|(_, n)| *n)
-            .collect();
-        for w in boundaries.windows(2) {
-            if w[0] != w[1] {
-                adj.entry(w[0]).or_default().insert(w[1]);
-            }
-        }
+/// Whether the directed graph of `arcs` has a cycle (Kahn's
+/// algorithm over the arcs' endpoints, numbered by sorted position).
+fn has_cycle(mut arcs: Vec<(LogicalNode, LogicalNode)>) -> bool {
+    arcs.sort_unstable();
+    arcs.dedup();
+    let mut nodes: Vec<LogicalNode> = arcs.iter().flat_map(|(a, b)| [*a, *b]).collect();
+    nodes.sort_unstable();
+    nodes.dedup();
+    let id = |n: &LogicalNode| nodes.binary_search(n).unwrap_or_default();
+    // Arcs are sorted by source, so each node's out-arcs are one run.
+    let mut first_out = vec![0usize; nodes.len() + 1];
+    let mut indeg = vec![0usize; nodes.len()];
+    for (a, b) in &arcs {
+        first_out[id(a) + 1] += 1;
+        indeg[id(b)] += 1;
     }
-    // Kahn's algorithm.
-    let mut indeg: HashMap<LogicalNode, usize> = HashMap::new();
-    for (n, outs) in &adj {
-        indeg.entry(*n).or_insert(0);
-        for o in outs {
-            *indeg.entry(*o).or_insert(0) += 1;
-        }
+    for i in 0..nodes.len() {
+        first_out[i + 1] += first_out[i];
     }
-    let mut queue: Vec<LogicalNode> = indeg
-        .iter()
-        .filter(|(_, &d)| d == 0)
-        .map(|(n, _)| *n)
-        .collect();
+    let mut queue: Vec<usize> = (0..nodes.len()).filter(|n| indeg[*n] == 0).collect();
     let mut visited = 0;
     while let Some(n) = queue.pop() {
         visited += 1;
-        if let Some(outs) = adj.get(&n) {
-            for o in outs {
-                let d = indeg.get_mut(o).expect("indexed");
-                *d -= 1;
-                if *d == 0 {
-                    queue.push(*o);
-                }
+        for (_, b) in &arcs[first_out[n]..first_out[n + 1]] {
+            let b = id(b);
+            indeg[b] -= 1;
+            if indeg[b] == 0 {
+                queue.push(b);
             }
         }
     }
-    visited != indeg.len()
+    visited != nodes.len()
 }
 
 #[cfg(test)]

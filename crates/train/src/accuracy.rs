@@ -350,7 +350,7 @@ pub fn run_accuracy_experiment(
                 AggregationMode::NcclGraphOrder => {
                     let exec = adapcc::executor::Executor::new(cluster, cc.topology());
                     let req = adapcc::executor::ExecutionRequest::timing(&nccl, tensor)
-                        .with_inputs(grads.clone());
+                        .with_borrowed_inputs(&grads);
                     let batch = exec.execute(&[req]);
                     batch.requests[0]
                         .outputs

@@ -297,3 +297,43 @@ fn collectives_before_setup_are_invalid_requests() {
     cc.setup();
     cc.allreduce(tensor, &idle, None).expect("set up");
 }
+
+#[test]
+fn wrong_length_buffers_are_invalid_requests_on_every_rank() {
+    // A broadcast reads only its root's buffer and a reduce-scatter
+    // slices every buffer into shards; a bad buffer on any rank is
+    // still refused with a typed error rather than ignored or sliced
+    // out of bounds.
+    let cluster = Cluster::homogeneous_a100(1);
+    let mut cc = AdapCC::init(&cluster, quick_options());
+    cc.setup();
+    let elems = 4 * 256;
+    let tensor = ByteSize::from_bytes((elems * 4) as u64);
+    let idle = BTreeMap::new();
+    let inputs = |short: Rank| -> BTreeMap<Rank, Vec<f32>> {
+        (0..4)
+            .map(|r| {
+                let len = if Rank(r) == short { elems - 1 } else { elems };
+                (Rank(r), vec![1.0; len])
+            })
+            .collect()
+    };
+    let err = cc
+        .broadcast(Rank(0), tensor, &idle, Some(inputs(Rank(2))))
+        .expect_err("rank 2's buffer is one element short");
+    assert!(
+        matches!(&err, adapcc::AdapCCError::InvalidRequest(msg) if msg.contains("rank2")),
+        "{err}"
+    );
+    let err = cc
+        .reduce_scatter(tensor, &idle, Some(inputs(Rank(3))))
+        .expect_err("rank 3's buffer is one element short");
+    assert!(
+        matches!(err, adapcc::AdapCCError::InvalidRequest(_)),
+        "{err}"
+    );
+    let ok = cc
+        .broadcast(Rank(0), tensor, &idle, Some(inputs(Rank(9))))
+        .expect("every buffer holds the tensor");
+    assert_eq!(ok.outputs.len(), 3, "every non-root rank receives");
+}

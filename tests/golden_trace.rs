@@ -11,17 +11,20 @@
 
 use std::collections::BTreeMap;
 
+use adapcc::executor::{ExecutionRequest, Executor};
 use adapcc::session::{AdapCC, InitOptions};
 use adapcc::{Decision, RelayConfig};
 use adapcc_baselines::runner::{Runner, System};
 use adapcc_bench::harness::profiled_with_telemetry;
+use adapcc_profile::profiler::Profiler;
 use adapcc_simnet::cluster::{Cluster, ClusterBuilder, Rank};
 use adapcc_simnet::hardware::InstanceSpec;
 use adapcc_simnet::time::{SimDuration, SimTime};
 use adapcc_simnet::units::ByteSize;
-use adapcc_synth::solver::SynthConfig;
-use adapcc_synth::Primitive;
+use adapcc_synth::solver::{SynthConfig, SynthRequest, Synthesizer};
+use adapcc_synth::{Hierarchical, Primitive};
 use adapcc_telemetry::Telemetry;
+use adapcc_topo::detect::Detector;
 
 /// One full instrumented run: detect → profile → synthesize → execute
 /// on a fixed fleet, returning the sink holding every span, flow and
@@ -679,5 +682,97 @@ fn every_pipeline_stage_emits_one_span_per_collective() {
     }
     for s in spans.iter().filter(|s| s.name.starts_with("collective.")) {
         assert_eq!(s.track, "collective");
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Executor goldens at scale, driven through `Executor` directly so that
+// `bytes_on_wire` is pinned beside the finish instant and the outputs.
+// Inputs are fractional, so the output digest also pins the order of
+// the f32 additions at every kernel.
+// ---------------------------------------------------------------------------
+
+fn fractional_inputs(ranks: &[Rank], elems: usize) -> BTreeMap<Rank, Vec<f32>> {
+    ranks
+        .iter()
+        .map(|r| {
+            let buf = (0..elems)
+                .map(|i| ((r.0 * 31 + i * 7) % 97) as f32 / 9.0)
+                .collect();
+            (*r, buf)
+        })
+        .collect()
+}
+
+/// Synthesizes `primitive` over every GPU of `cluster` and executes it
+/// once with data; returns (finish bits, bytes on wire, output digest).
+fn executed_with_data(
+    cluster: &Cluster,
+    primitive: Primitive,
+    root: Option<Rank>,
+    elems: usize,
+    anneal_iters: usize,
+) -> (u64, u64, u64) {
+    let topo = Detector::new(cluster, 1).run().logical_topology(cluster);
+    let profile = Profiler::new(cluster, &topo, 1).run().links;
+    let ranks: Vec<Rank> = (0..cluster.gpu_count()).map(Rank).collect();
+    let tensor = ByteSize::from_bytes((elems * 4) as u64);
+    let mut req = SynthRequest::new(primitive, tensor, 2, ranks.clone());
+    req.root = root;
+    let config = SynthConfig {
+        anneal_iters,
+        ..Default::default()
+    };
+    let strategy = Synthesizer::new(&topo, &profile)
+        .with_config(config)
+        .synthesize(&req);
+    let report = Executor::new(cluster, &topo)
+        .execute(&[ExecutionRequest::timing(&strategy, tensor)
+            .with_inputs(fractional_inputs(&ranks, elems))]);
+    (
+        report.finish.as_secs().to_bits(),
+        report.bytes_on_wire,
+        fnv(&report.requests[0].outputs),
+    )
+}
+
+#[test]
+fn executor_matches_goldens_at_scale() {
+    // 256 GPUs on 64 servers: the hierarchical plan, run on the
+    // engine's incremental allocator.
+    let pod = Cluster::homogeneous_a100(64);
+    assert!(Hierarchical::Auto.enabled_for(pod.gpu_count(), pod.instance_count()));
+    assert_eq!(
+        executed_with_data(&pod, Primitive::AllReduce, None, 4096, 0),
+        (0x3f2e1baea60d9740, 0xb6c000, 0xb7bff7a5be209325),
+        "256-GPU allreduce (finish bits, bytes on wire, outputs)"
+    );
+    let testbed = Cluster::paper_testbed();
+    let cases = [
+        (
+            Primitive::Reduce,
+            None,
+            16 * 1024,
+            (0x3f13cdc69e0a849b, 0x210000, 0x7f845077cd441e7c),
+        ),
+        (
+            Primitive::Broadcast,
+            Some(Rank(5)),
+            16 * 1024,
+            (0x3f0da4ba09d5af8a, 0x1f0000, 0x7dd57b1efeb9877b),
+        ),
+        (
+            Primitive::AllToAll,
+            None,
+            24 * 640,
+            (0x3f1029e901dbf280, 0x3b1000, 0x7498c8517a4da0aa),
+        ),
+    ];
+    for (primitive, root, elems, want) in cases {
+        assert_eq!(
+            executed_with_data(&testbed, primitive, root, elems, 24),
+            want,
+            "testbed {primitive:?} (finish bits, bytes on wire, outputs)"
+        );
     }
 }
