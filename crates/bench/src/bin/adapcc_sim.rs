@@ -198,13 +198,12 @@ fn write_or_die(path: &str, contents: &str, what: &str) {
 fn run_engine(run: Run<StormConfig>) {
     let cfg = run.config;
     let cluster = Cluster::homogeneous_a100(cfg.servers);
-    let report = engine_storm(&cluster, cfg.waves, cfg.storm, cfg.alloc);
+    let report = engine_storm(&cluster, cfg.waves, cfg.storm, AllocMode::Auto);
     println!(
-        "engine storm ({} / {} alloc): {} servers / {} GPUs, {} waves, {} transfers \
+        "engine storm ({}): {} servers / {} GPUs, {} waves, {} transfers \
          -> {} events in {:.1} ms wall ({:.0} events/sec, {:.3} ms simulated, \
          {} fillings touching {} flows)",
         cfg.storm.as_str(),
-        report.alloc_name(),
         cluster.instance_count(),
         cluster.gpu_count(),
         cfg.waves,

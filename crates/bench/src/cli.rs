@@ -19,7 +19,7 @@ use adapcc_telemetry::Telemetry;
 
 use crate::chaos::ChaosConfig;
 use crate::churn::ChurnConfig;
-use crate::engine_bench::{AllocMode, StormConfig, StormMode};
+use crate::engine_bench::{StormConfig, StormMode};
 use crate::parallel_bench::ParallelConfig;
 use crate::record::Row;
 use crate::service_bench::ServiceWorkload;
@@ -371,8 +371,6 @@ pub fn engine_usage() -> &'static str {
        --waves N            storm waves, each fully drained (default 4)\n\
        --storm MODE         wave (synchronized rounds, default) or churn\n\
                             (staggered arrivals interleaved with completions)\n\
-       --alloc MODE         exact | incremental | auto (default auto:\n\
-                            incremental at 64+ servers, like the executor)\n\
        --bench-append FILE  append a one-line machine-readable record\n\
        --help               this message"
 }
@@ -398,16 +396,6 @@ pub fn parse_engine_args<I: IntoIterator<Item = String>>(
                 c.storm = f.choice(
                     &flag,
                     &[("wave", StormMode::Wave), ("churn", StormMode::Churn)],
-                )?;
-            }
-            "--alloc" => {
-                c.alloc = f.choice(
-                    &flag,
-                    &[
-                        ("exact", AllocMode::Exact),
-                        ("incremental", AllocMode::Incremental),
-                        ("auto", AllocMode::Auto),
-                    ],
                 )?;
             }
             "--bench-append" => run.bench_append = Some(f.value(&flag)?),
@@ -955,7 +943,6 @@ mod tests {
         let d = parse_engine(&[]).unwrap();
         assert_eq!(d, Run::new(StormConfig::default()));
         assert_eq!(d.config.storm, StormMode::Wave);
-        assert_eq!(d.config.alloc, AllocMode::Auto);
         let a = parse_engine(&[
             "--servers",
             "128",
@@ -963,8 +950,6 @@ mod tests {
             "8",
             "--storm",
             "churn",
-            "--alloc",
-            "incremental",
             "--bench-append",
             "BENCH_engine.json",
         ])
@@ -972,11 +957,9 @@ mod tests {
         assert_eq!(a.config.servers, 128);
         assert_eq!(a.config.waves, 8);
         assert_eq!(a.config.storm, StormMode::Churn);
-        assert_eq!(a.config.alloc, AllocMode::Incremental);
         assert_eq!(a.bench_append.as_deref(), Some("BENCH_engine.json"));
-        let e = parse_engine(&["--storm", "wave", "--alloc", "exact"]).unwrap();
+        let e = parse_engine(&["--storm", "wave"]).unwrap();
         assert_eq!(e.config.storm, StormMode::Wave);
-        assert_eq!(e.config.alloc, AllocMode::Exact);
     }
 
     #[test]
@@ -984,7 +967,7 @@ mod tests {
         assert!(parse_engine(&["--servers", "1"]).is_err(), "cross-server");
         assert!(parse_engine(&["--waves", "0"]).is_err());
         assert!(parse_engine(&["--storm", "tsunami"]).is_err());
-        assert!(parse_engine(&["--alloc", "magic"]).is_err());
+        assert!(parse_engine(&["--alloc", "auto"]).is_err(), "one allocator");
         assert!(parse_engine(&["--banana"]).is_err());
         assert!(parse_engine(&["--help"]).unwrap_err().contains("--waves"));
         assert!(parse_engine(&["--help"]).unwrap_err().contains("--storm"));
@@ -1052,8 +1035,8 @@ mod tests {
         assert!(parse_churn(&["--horizon-ms", "inf"]).is_err());
         assert!(parse_chaos(&["--size-kib", "18014398509481984"]).is_err());
         assert!(parse(&["--size-mib", "17592186044416"]).is_err());
-        let err = parse_engine(&["--alloc", "magic"]).unwrap_err();
-        assert!(err.contains("exact | incremental | auto"), "{err}");
+        let err = parse_engine(&["--storm", "magic"]).unwrap_err();
+        assert!(err.contains("wave | churn"), "{err}");
     }
 
     #[test]

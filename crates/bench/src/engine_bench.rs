@@ -2,20 +2,16 @@
 //! fluid-flow simulator with contending cross-server transfers and
 //! reports processed events per wall-clock second — the
 //! `BENCH_engine.json` metric. The workload is pure engine stress (no
-//! synthesis, no executor), so it isolates the event-queue,
-//! flow-aggregation and allocator paths that the cluster-scale rewrite
-//! targets.
+//! synthesis, no executor), so it isolates the event queue, the drain
+//! queue and the allocator.
 //!
 //! Two storm shapes: synchronized waves (`Wave`, the engine's batch
 //! best case — one filling per wave) and staggered arrivals (`Churn`,
 //! the allocator's worst case — every arrival and completion lands at
-//! its own instant and pays its own refill). Both run under either
-//! allocator (`AllocMode`), so the bench quantifies exactly what the
-//! incremental frontier buys.
+//! its own instant and pays its own refill).
 
 use std::time::Instant;
 
-use adapcc::executor::INCREMENTAL_INSTANCE_THRESHOLD;
 use adapcc_simnet::cluster::{Cluster, InstanceId};
 use adapcc_simnet::engine::{NetSim, SimEvent};
 use adapcc_simnet::time::SimDuration;
@@ -45,36 +41,12 @@ impl StormMode {
     }
 }
 
-/// Allocator selection for [`engine_storm`].
+/// Allocator selection for [`engine_storm`]. The engine has one
+/// allocator; the selector stays so callers keep one signature.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AllocMode {
-    /// Fleet-wide progressive filling on every event (legacy engine).
-    Exact,
-    /// Dirty-frontier incremental allocator.
-    Incremental,
-    /// The executor's policy: incremental at or above
-    /// [`INCREMENTAL_INSTANCE_THRESHOLD`] instances, exact below.
+    /// The engine's allocator, as the executor runs it.
     Auto,
-}
-
-impl AllocMode {
-    /// CLI name.
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            AllocMode::Exact => "exact",
-            AllocMode::Incremental => "incremental",
-            AllocMode::Auto => "auto",
-        }
-    }
-
-    /// Resolves `Auto` against a concrete fleet size.
-    pub fn incremental_for(&self, instances: usize) -> bool {
-        match self {
-            AllocMode::Exact => false,
-            AllocMode::Incremental => true,
-            AllocMode::Auto => instances >= INCREMENTAL_INSTANCE_THRESHOLD,
-        }
-    }
 }
 
 /// One `adapcc-sim engine` storm: a homogeneous A100 fleet and the
@@ -89,9 +61,6 @@ pub struct StormConfig {
     pub waves: usize,
     /// Workload shape: synchronized waves or staggered churn.
     pub storm: StormMode,
-    /// Allocator selection: exact, incremental, or the executor's
-    /// automatic scale gate.
-    pub alloc: AllocMode,
 }
 
 impl Default for StormConfig {
@@ -100,7 +69,6 @@ impl Default for StormConfig {
             servers: 32,
             waves: 4,
             storm: StormMode::Wave,
-            alloc: AllocMode::Auto,
         }
     }
 }
@@ -119,11 +87,9 @@ pub struct EngineStormReport {
     pub wall_ms: f64,
     /// Filling passes the allocator ran.
     pub fillings: u64,
-    /// Total flows touched by those fillings — the allocator's real
-    /// work metric (`O(frontier)`, not `O(live)`, when incremental).
+    /// Total flows in those fillings — the allocator's real work
+    /// metric (`O(frontier)`, not `O(live)`).
     pub frontier_flows: u64,
-    /// Whether the incremental allocator was active.
-    pub incremental: bool,
 }
 
 impl EngineStormReport {
@@ -133,15 +99,6 @@ impl EngineStormReport {
             return 0.0;
         }
         self.events as f64 / (self.wall_ms / 1e3)
-    }
-
-    /// The allocator that ran: `incremental` or `exact`.
-    pub fn alloc_name(&self) -> &'static str {
-        if self.incremental {
-            "incremental"
-        } else {
-            "exact"
-        }
     }
 
     /// The `BENCH_engine.json` row of this storm, run as `cfg` on a
@@ -154,7 +111,6 @@ impl EngineStormReport {
             .int("gpus", gpus)
             .int("waves", cfg.waves)
             .str("storm", cfg.storm.as_str())
-            .str("alloc", self.alloc_name())
             .int("transfers", self.transfers)
             .int("events", self.events)
             .float("sim_ms", self.sim_ms, 6)
@@ -188,12 +144,11 @@ pub fn engine_storm(
     cluster: &Cluster,
     waves: usize,
     mode: StormMode,
-    alloc: AllocMode,
+    _alloc: AllocMode,
 ) -> EngineStormReport {
     let n = cluster.instance_count();
     assert!(n >= 2, "the storm needs at least two instances");
-    let incremental = alloc.incremental_for(n);
-    let mut sim = NetSim::new(cluster).with_incremental_allocator(incremental);
+    let mut sim = NetSim::new(cluster);
     let mut token = 0u64;
     let start = Instant::now();
     match mode {
@@ -241,7 +196,6 @@ pub fn engine_storm(
         wall_ms: start.elapsed().as_secs_f64() * 1e3,
         fillings: sim.fillings(),
         frontier_flows: sim.frontier_flows(),
-        incremental,
     }
 }
 
@@ -252,13 +206,12 @@ mod tests {
     #[test]
     fn storm_completes_every_transfer() {
         let cluster = Cluster::homogeneous_a100(4);
-        let r = engine_storm(&cluster, 3, StormMode::Wave, AllocMode::Exact);
+        let r = engine_storm(&cluster, 3, StormMode::Wave, AllocMode::Auto);
         assert_eq!(r.transfers, 12);
         assert!(r.events >= r.transfers, "every transfer costs events");
         assert!(r.sim_ms > 0.0);
         assert!(r.events_per_sec() > 0.0);
         assert!(r.fillings > 0);
-        assert!(!r.incremental);
     }
 
     #[test]
@@ -266,45 +219,30 @@ mod tests {
         // 32 servers > FLAT_FABRIC_MAX: the pattern crosses pod
         // boundaries and must still drain completely.
         let cluster = Cluster::homogeneous_a100(32);
-        let r = engine_storm(&cluster, 2, StormMode::Wave, AllocMode::Exact);
+        let r = engine_storm(&cluster, 2, StormMode::Wave, AllocMode::Auto);
         assert_eq!(r.transfers, 64);
         assert!(r.events >= r.transfers);
     }
 
     #[test]
-    fn churn_storm_completes_every_transfer_in_both_modes() {
+    fn churn_storm_completes_every_transfer() {
         let cluster = Cluster::homogeneous_a100(6);
-        for alloc in [AllocMode::Exact, AllocMode::Incremental] {
-            let r = engine_storm(&cluster, 2, StormMode::Churn, alloc);
-            assert_eq!(r.transfers, 12, "alloc={alloc:?}");
-            assert!(r.events >= 2 * r.transfers, "timer + completion each");
-            assert!(r.fillings > 0);
-        }
+        let r = engine_storm(&cluster, 2, StormMode::Churn, AllocMode::Auto);
+        assert_eq!(r.transfers, 12);
+        assert!(r.events >= 2 * r.transfers, "timer + completion each");
+        assert!(r.fillings > 0);
     }
 
     #[test]
-    fn incremental_storm_touches_fewer_flows() {
-        // The point of the frontier: on the wave storm the incremental
-        // allocator's total touched-flow count must be far below the
-        // exact engine's (which refills every live flow per event).
+    fn wave_storm_fills_each_wave_once_per_component() {
+        // The frontier's point: a ring wave on 16 flat-fabric servers is
+        // 16 disjoint single-flow components that activate at one
+        // instant, so the wave pays one filling per component, and its
+        // equal completions empty every class without refilling. A
+        // fleet-wide filling per event would touch every live flow.
         let cluster = Cluster::homogeneous_a100(16);
-        let exact = engine_storm(&cluster, 2, StormMode::Wave, AllocMode::Exact);
-        let inc = engine_storm(&cluster, 2, StormMode::Wave, AllocMode::Incremental);
-        assert_eq!(exact.transfers, inc.transfers);
-        assert!(
-            inc.frontier_flows * 2 <= exact.frontier_flows,
-            "incremental {} vs exact {}",
-            inc.frontier_flows,
-            exact.frontier_flows
-        );
-        assert!(inc.incremental);
-    }
-
-    #[test]
-    fn auto_mode_follows_the_executor_threshold() {
-        assert!(!AllocMode::Auto.incremental_for(INCREMENTAL_INSTANCE_THRESHOLD - 1));
-        assert!(AllocMode::Auto.incremental_for(INCREMENTAL_INSTANCE_THRESHOLD));
-        assert!(AllocMode::Incremental.incremental_for(2));
-        assert!(!AllocMode::Exact.incremental_for(1 << 20));
+        let r = engine_storm(&cluster, 2, StormMode::Wave, AllocMode::Auto);
+        assert_eq!(r.frontier_flows, r.transfers);
+        assert_eq!(r.fillings, r.transfers);
     }
 }

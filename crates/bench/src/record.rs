@@ -97,7 +97,7 @@ mod tests {
     use super::*;
     use crate::churn::{ChurnConfig, ChurnSummary};
     use crate::cli::SimArgs;
-    use crate::engine_bench::{AllocMode, EngineStormReport, StormConfig, StormMode};
+    use crate::engine_bench::{EngineStormReport, StormConfig, StormMode};
     use crate::parallel_bench::{ParallelConfig, ParallelReport, PhaseOutcome};
     use crate::service_bench::{ModeReport, ServiceBenchReport, ServiceWorkload};
     use adapcc_baselines::runner::RunReport;
@@ -135,7 +135,6 @@ mod tests {
             servers,
             waves,
             storm,
-            alloc: AllocMode::Auto,
         };
         r.row(&cfg, servers * 4)
     }
@@ -203,12 +202,11 @@ mod tests {
             wall_ms: 97.5,
             fillings: 900,
             frontier_flows: 3100,
-            incremental: true,
         };
         assert_eq!(
             engine_row(128, 4, StormMode::Churn, r).to_json(),
             "{\"servers\":\"a100:128\",\"gpus\":512,\"waves\":4,\"storm\":\"churn\",\
-             \"alloc\":\"incremental\",\"transfers\":512,\"events\":4096,\"sim_ms\":1.250000,\
+             \"transfers\":512,\"events\":4096,\"sim_ms\":1.250000,\
              \"wall_ms\":97.500,\"events_per_sec\":42010.3,\"fillings\":900,\
              \"frontier_flows\":3100,\"plan_cache_hits\":0,\"plan_cache_misses\":0,\
              \"plan_cache_warm_starts\":0,\"hierarchical\":false}"
@@ -232,13 +230,12 @@ mod tests {
                 wall_ms: 3.0,
                 fillings: 10,
                 frontier_flows: 40,
-                incremental: false,
             },
         );
         assert_eq!(
             engine.to_json(),
             "{\"servers\":\"a100:4\",\"gpus\":16,\"waves\":2,\"storm\":\"wave\",\
-             \"alloc\":\"exact\",\"transfers\":8,\"events\":64,\"sim_ms\":0.500000,\
+             \"transfers\":8,\"events\":64,\"sim_ms\":0.500000,\
              \"wall_ms\":3.000,\"events_per_sec\":21333.3,\"fillings\":10,\
              \"frontier_flows\":40,\"plan_cache_hits\":0,\"plan_cache_misses\":0,\
              \"plan_cache_warm_starts\":0,\"hierarchical\":false}"

@@ -112,7 +112,6 @@ fn engine_row() {
             "gpus",
             "waves",
             "storm",
-            "alloc",
             "transfers",
             "events",
             "sim_ms",
@@ -130,12 +129,11 @@ fn engine_row() {
             ("gpus", "8"),
             ("waves", "1"),
             ("storm", "\"wave\""),
-            ("alloc", "\"exact\""),
             ("transfers", "2"),
             ("events", "4"),
             ("sim_ms", "0.024972"),
             ("fillings", "2"),
-            ("frontier_flows", "3"),
+            ("frontier_flows", "2"),
             ("plan_cache_hits", "0"),
             ("plan_cache_misses", "0"),
             ("plan_cache_warm_starts", "0"),
@@ -279,8 +277,8 @@ fn parallel3d_row() {
             ("rounds", "4"),
             ("oblivious_modeled_s", "0.055478"),
             ("aware_modeled_s", "0.055478"),
-            ("oblivious_executed_s", "0.048894"),
-            ("aware_executed_s", "0.048894"),
+            ("oblivious_executed_s", "0.048895"),
+            ("aware_executed_s", "0.048895"),
         ],
     );
 }

@@ -13,6 +13,7 @@
 //!   owned by surviving stragglers in phase 2.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use adapcc_simnet::cluster::Rank;
 use adapcc_simnet::hardware::kernel_launch_overhead;
@@ -183,7 +184,7 @@ impl<'c> AdapCC<'c> {
         phase1_end: SimTime,
         late: &[Rank],
         ready: &BTreeMap<Rank, SimTime>,
-    ) -> Vec<(Strategy, Rank, ByteSize)> {
+    ) -> Vec<(Arc<Strategy>, Rank, ByteSize)> {
         let phase1_span = phase1_end.duration_since(start).as_secs().max(1e-9);
         late.iter()
             .map(|r| {
@@ -202,11 +203,7 @@ impl<'c> AdapCC<'c> {
                     root: Some(*r),
                     scope: self.active_scope.clone(),
                 };
-                (
-                    self.strategy_for_key(&key).clone(),
-                    *r,
-                    ByteSize::from_bytes(bytes),
-                )
+                (self.shared_strategy(&key), *r, ByteSize::from_bytes(bytes))
             })
             .collect()
     }

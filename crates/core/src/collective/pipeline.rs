@@ -9,6 +9,7 @@
 //! `collective.assemble`) on the `collective` track.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use adapcc_simnet::cluster::Rank;
 use adapcc_simnet::time::{SimDuration, SimTime};
@@ -31,7 +32,8 @@ pub(super) struct Planned<'s> {
     pub(super) root: Option<Rank>,
     pub(super) tensor: ByteSize,
     pub(super) stages: Vec<StagePlan>,
-    pub(super) strategies: Vec<Vec<Strategy>>,
+    /// Each stage's sub-plan strategies, shared with the session memo.
+    pub(super) strategies: Vec<Vec<Arc<Strategy>>>,
 }
 
 /// What one execution produced: the completion instant, the per-slot
@@ -267,7 +269,7 @@ impl<'c> AdapCC<'c> {
                 }
             }
         }
-        let mut strategies: Vec<Vec<Strategy>> = Vec::with_capacity(stages.len());
+        let mut strategies: Vec<Vec<Arc<Strategy>>> = Vec::with_capacity(stages.len());
         let mut memo_miss = false;
         for i in 0..stages.len() {
             if i > 0 && stages[i].fanout == Fanout::Single && stages[i].subs[0].root.is_none() {
@@ -278,7 +280,7 @@ impl<'c> AdapCC<'c> {
             for sub in &stages[i].subs {
                 let key = sub.key(primitive);
                 memo_miss |= !self.strategies.contains_key(&key);
-                row.push(self.strategy_for_key(&key).clone());
+                row.push(self.shared_strategy(&key));
             }
             strategies.push(row);
         }
@@ -437,5 +439,36 @@ impl<'c> AdapCC<'c> {
             slots,
             faults: Vec::new(),
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::session::InitOptions;
+    use adapcc_simnet::cluster::Cluster;
+    use adapcc_telemetry::Telemetry;
+
+    #[test]
+    fn plans_share_the_memos_strategies() {
+        // Two plans of one collective lend the memo's strategies: every
+        // stage strategy is one allocation, not a copy per call.
+        let c = Cluster::homogeneous_a100(2);
+        let mut cc = AdapCC::init(&c, InitOptions::default());
+        cc.setup();
+        let spec = CollectiveSpec::allgather();
+        let tensor = ByteSize::from_kib(16);
+        let tel = Telemetry::disabled();
+        let a = cc.plan_collective(&spec, None, tensor, &tel).unwrap();
+        let b = cc.plan_collective(&spec, None, tensor, &tel).unwrap();
+        assert!(!a.strategies[0].is_empty());
+        for (x, y) in a
+            .strategies
+            .iter()
+            .flatten()
+            .zip(b.strategies.iter().flatten())
+        {
+            assert!(Arc::ptr_eq(x, y), "a plan copied a memo strategy");
+        }
     }
 }

@@ -48,16 +48,6 @@ use crate::error::{AdapCCError, FaultKind, FaultReport};
 /// because contention concentrates on single links.)
 pub const DEFAULT_DEADLINE_MULTIPLIER: f64 = 16.0;
 
-/// Fleet size (in instances) at which the executor switches the
-/// engine to the incremental (dirty-frontier) allocator. Below it the
-/// exact fleet-wide filling is kept — its event stream is pinned
-/// bit-for-bit by golden traces; at or above it per-event work scales
-/// with the touched flow component instead of every live flow, which
-/// is what keeps events/sec flat at cluster scale (see
-/// `NetSim::with_incremental_allocator`). Timing deltas between the
-/// two modes are f64-rounding-scale and both are fully deterministic.
-pub const INCREMENTAL_INSTANCE_THRESHOLD: usize = 64;
-
 /// Floor on any hop deadline, so microsecond-scale chunks do not trip
 /// their deadline on transient queueing.
 fn deadline_floor() -> SimDuration {
@@ -1214,13 +1204,7 @@ impl<'a> Executor<'a> {
         lowered: &Lowered,
     ) -> Result<BatchReport, FaultReport> {
         let subs = &lowered.subs;
-        // Cluster-scale fleets run the incremental allocator: chunk
-        // waves then pay one frontier refill per touched component
-        // rather than a fleet-wide filling per event. Small fleets stay
-        // on the exact filling, whose event stream is pinned bit-for-bit
-        // by golden traces.
-        let incremental = self.cluster.instance_count() >= INCREMENTAL_INSTANCE_THRESHOLD;
-        let mut sim = NetSim::new(self.cluster).with_incremental_allocator(incremental);
+        let mut sim = NetSim::new(self.cluster);
         for (l, f) in &self.factors {
             sim.set_capacity_factor(*l, *f);
         }

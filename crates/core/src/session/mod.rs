@@ -152,8 +152,9 @@ pub struct AdapCC<'c> {
     pub(crate) communicator: Communicator,
     pub(crate) coordinator: Coordinator,
     /// Per-worker-set strategy memo, cleared on every worker-set or
-    /// profile change; keyed by the canonical [`StrategyKey`].
-    pub(crate) strategies: HashMap<StrategyKey, Strategy>,
+    /// profile change; keyed by the canonical [`StrategyKey`]. Plans
+    /// lend their entries out by reference count, never by copy.
+    pub(crate) strategies: HashMap<StrategyKey, Arc<Strategy>>,
     /// The fingerprinted plan store behind `strategies`. Unlike the
     /// memo (cleared on every worker-set change), it is keyed by
     /// content and survives `set_workers`, reprofiles and exclusions —

@@ -56,14 +56,21 @@ impl<'c> AdapCC<'c> {
     /// scopes built ad hoc (pairwise stages) rather than via
     /// [`AdapCC::group`].
     pub(crate) fn strategy_for_key(&mut self, key: &StrategyKey) -> &Strategy {
+        self.shared_strategy(key);
+        &self.strategies[key]
+    }
+
+    /// [`strategy_for_key`](Self::strategy_for_key), lent out of the
+    /// memo: every caller shares the memo's one allocation.
+    pub(crate) fn shared_strategy(&mut self, key: &StrategyKey) -> Arc<Strategy> {
         if let Some(g) = &key.scope {
             self.groups.insert(g.id(), g.clone());
         }
         if !self.strategies.contains_key(key) {
             let strategy = self.resolve_strategy(key);
-            self.strategies.insert(key.clone(), strategy);
+            self.strategies.insert(key.clone(), Arc::new(strategy));
         }
-        &self.strategies[key]
+        Arc::clone(&self.strategies[key])
     }
 
     /// Satisfies one synthesis request through the plan service: exact

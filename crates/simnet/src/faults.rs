@@ -310,7 +310,7 @@ impl FaultSchedule {
     ///
     /// Events are processed in start-time order regardless of insertion
     /// order, so past crash→restart pairs collapse correctly.
-    pub fn arm(&self, sim: &mut NetSim, offset: SimTime) {
+    pub fn arm(&self, sim: &mut impl FaultTarget, offset: SimTime) {
         let mut ordered: Vec<&Fault> = self.faults.iter().collect();
         ordered.sort_by_key(|f| f.start().unwrap_or(SimTime::ZERO));
         for fault in ordered {
@@ -522,11 +522,36 @@ impl FaultSchedule {
     }
 }
 
-fn arm_action(sim: &mut NetSim, offset: SimTime, at: SimTime, action: FaultAction) {
+fn arm_action(sim: &mut impl FaultTarget, offset: SimTime, at: SimTime, action: FaultAction) {
     if at <= offset {
         sim.apply_fault(action);
     } else {
         sim.schedule_fault(at.duration_since(offset), action);
+    }
+}
+
+/// What a [`FaultSchedule`] arms: the engine, or any simulator that
+/// takes the same fault actions (the engine suites' reference model).
+pub trait FaultTarget {
+    /// The fabric the faults act on.
+    fn cluster(&self) -> &Cluster;
+    /// Applies a fault action now.
+    fn apply_fault(&mut self, action: FaultAction);
+    /// Schedules a fault action `after` from now.
+    fn schedule_fault(&mut self, after: SimDuration, action: FaultAction);
+}
+
+impl FaultTarget for NetSim<'_> {
+    fn cluster(&self) -> &Cluster {
+        NetSim::cluster(self)
+    }
+
+    fn apply_fault(&mut self, action: FaultAction) {
+        NetSim::apply_fault(self, action);
+    }
+
+    fn schedule_fault(&mut self, after: SimDuration, action: FaultAction) {
+        NetSim::schedule_fault(self, after, action);
     }
 }
 

@@ -1,25 +1,32 @@
 //! The scripted-operation vocabulary shared by the engine's
 //! integration suites: a random op script (submissions, timers,
-//! partial stepping, the fault vocabulary) replayed against one
-//! allocator mode, recorded as `(kind, token, at bits)` triples.
+//! partial stepping, the fault vocabulary) replayed against the engine
+//! or its reference model, recorded as `(kind, token, at bits)`
+//! triples, and the comparison that holds the engine to the model.
+
+pub mod oracle;
 
 use adapcc_simnet::cluster::{Cluster, InstanceId};
 use adapcc_simnet::engine::{FaultAction, NetSim, SimEvent};
-use adapcc_simnet::time::SimDuration;
+use adapcc_simnet::faults::FaultSchedule;
+use adapcc_simnet::time::{SimDuration, SimTime};
 use adapcc_simnet::units::ByteSize;
+
+pub use oracle::assert_tracks as assert_tracks_oracle;
+use oracle::{Oracle, Sim};
 
 /// One scripted operation against the engine.
 pub type Op = (u8, usize, usize, u64);
 
-/// Which allocator replays a script.
+/// Which simulator replays a script.
 #[derive(Clone, Copy, PartialEq, Eq)]
 pub enum Mode {
-    /// Fleet-wide filling at every event.
-    Exact,
-    /// Incremental dirty-frontier refills.
+    /// The engine: dirty-frontier refills.
     Frontier,
-    /// Incremental, every live flow dirty at every refill.
+    /// The engine, every non-empty class dirty at every refill.
     Paranoid,
+    /// The fleet-wide per-flow reference model.
+    Oracle,
 }
 
 /// The four fabrics the proptests draw from.
@@ -46,9 +53,32 @@ pub fn record(ev: &SimEvent, out: &mut Vec<(u8, u64, u64)>) {
 /// (so completions interleave with later arrivals), and the full fault
 /// vocabulary, then drains to quiescence with all links restored.
 pub fn run_ops(c: &Cluster, ops: &[Op], mode: Mode) -> Vec<(u8, u64, u64)> {
-    let mut sim = NetSim::new(c)
-        .with_incremental_allocator(mode != Mode::Exact)
-        .with_paranoid_refill(mode == Mode::Paranoid);
+    run_ops_under(c, ops, mode, &FaultSchedule::new())
+}
+
+/// [`run_ops`] with `schedule` armed at time zero first.
+pub fn run_ops_under(
+    c: &Cluster,
+    ops: &[Op],
+    mode: Mode,
+    schedule: &FaultSchedule,
+) -> Vec<(u8, u64, u64)> {
+    match mode {
+        Mode::Oracle => replay(&mut Oracle::new(c), c, ops, schedule),
+        _ => {
+            let mut sim = NetSim::new(c).with_paranoid_refill(mode == Mode::Paranoid);
+            replay(&mut sim, c, ops, schedule)
+        }
+    }
+}
+
+fn replay(
+    sim: &mut impl Sim,
+    c: &Cluster,
+    ops: &[Op],
+    schedule: &FaultSchedule,
+) -> Vec<(u8, u64, u64)> {
+    schedule.arm(sim, SimTime::ZERO);
     let n = c.instance_count();
     let mut out = Vec::new();
     let mut token = 0u64;
@@ -110,7 +140,7 @@ pub fn run_ops(c: &Cluster, ops: &[Op], mode: Mode) -> Vec<(u8, u64, u64)> {
             sim.apply_fault(FaultAction::LinkUp(l));
         }
     }
-    for ev in sim.drain() {
+    while let Some(ev) = sim.step() {
         record(&ev, &mut out);
     }
     out

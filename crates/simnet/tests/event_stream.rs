@@ -1,12 +1,13 @@
-//! Golden event streams for both allocators.
+//! Golden event streams.
 //!
-//! `incremental.rs` checks the frontier refill against the paranoid
+//! `allocator.rs` checks the frontier refill against the paranoid
 //! refill, but both run the same filling kernel, so a change to the
-//! kernel's arithmetic would pass it unseen. These goldens are the
-//! oracle for that arithmetic: each pins the number of events and an
-//! FNV-1a digest of every event's kind, token and completion-time
-//! bits, in exact and in incremental mode, over 64 seeded op scripts
-//! and one alltoall storm in which many transfers share each path.
+//! kernel's arithmetic would pass it unseen; its reference model
+//! bounds instants only to rounding. These goldens pin the arithmetic
+//! bit for bit: each pins the number of events and an FNV-1a digest of
+//! every event's kind, token and completion-time bits over 64 seeded op
+//! scripts and one alltoall storm in which many transfers share each
+//! path.
 
 mod common;
 
@@ -16,7 +17,8 @@ use adapcc_simnet::hardware::InstanceSpec;
 use adapcc_simnet::time::SimDuration;
 use adapcc_simnet::units::ByteSize;
 
-use common::{record, run_ops, shape, Mode, Op};
+use common::oracle::{Oracle, Sim};
+use common::{assert_tracks_oracle, record, run_ops, shape, Mode, Op};
 
 /// Event count and FNV-1a digest of `(kind, token, at bits)` triples.
 fn digest(events: &[(u8, u64, u64)]) -> (usize, u64) {
@@ -76,104 +78,105 @@ fn cluster_for(seed: u64) -> Cluster {
     }
 }
 
-/// `(exact count, exact digest, incremental count, incremental digest)`
-/// for the scripts seeded `0..64`.
-const SCRIPT_GOLDENS: [(usize, u64, usize, u64); 64] = [
-    (35, 0x46614aa9e3596dd8, 35, 0x46614aa9e3596dd8),
-    (33, 0xcc75ee8b4337a2ce, 33, 0xcc75ee8b4337a2ce),
-    (39, 0x5dc33be8f1ace61f, 39, 0x5dc33be8f1ace61f),
-    (31, 0x9e014de5380269dc, 31, 0x9e014de5380269dc),
-    (24, 0x84d39628bcc4a80d, 24, 0x90846e653454e4de),
-    (25, 0x196e4a784b945798, 25, 0x196e4a784b945798),
-    (32, 0xc22598d0c10f737d, 32, 0xc22598d0c10f737d),
-    (36, 0x225d24780a7dbd82, 36, 0x225d24780a7dbd82),
-    (26, 0x829128040a59a0c4, 26, 0x829128040a59a0c4),
-    (17, 0x99ea2aa70501d0c4, 17, 0x99ea2aa70501d0c4),
-    (23, 0xcf4e4ef26aa20b33, 23, 0xcf4e4ef26aa20b33),
-    (47, 0x6b29cb2ad93054c1, 47, 0x6b29cb2ad93054c1),
-    (12, 0x0489991abdd687a6, 12, 0x2ecc4756bdeb77c0),
-    (33, 0xd73e6054fe7162cf, 33, 0xd73e6054fe7162cf),
-    (38, 0x90ee1f5afe97b25f, 38, 0x90ee1f5afe97b25f),
-    (15, 0xe484b94b6ed4089d, 15, 0xe484b94b6ed4089d),
-    (46, 0xf23555e5f0a8391e, 46, 0xd4af8ba81cc41bab),
-    (15, 0x0cad4253f98b0b24, 15, 0x0cad4253f98b0b24),
-    (40, 0xbd0bbb0e1a0c152d, 40, 0xbd0bbb0e1a0c152d),
-    (25, 0xe1f61b33bbaa07bd, 25, 0xe1f61b33bbaa07bd),
-    (23, 0xb3cce76fee4b8712, 23, 0xb3cce76fee4b8712),
-    (20, 0x01bb6e405bc1976a, 20, 0x01bb6e405bc1976a),
-    (38, 0xbf6d89ae48df1abf, 38, 0xbf6d89ae48df1abf),
-    (20, 0xf2a18d7384155f3b, 20, 0xf2a18d7384155f3b),
-    (22, 0x20ac535de2b52671, 22, 0x20ac535de2b52671),
-    (17, 0x063beb527c9b69c9, 17, 0x063beb527c9b69c9),
-    (27, 0x02b6bbd89e6ae2a1, 27, 0x02b6bbd89e6ae2a1),
-    (26, 0x2748e70c54498263, 26, 0x2748e70c54498263),
-    (40, 0x3fe9712392d64910, 40, 0x5831123c8e3e7e0e),
-    (37, 0x83d83442f0044f58, 37, 0x83d83442f0044f58),
-    (12, 0xcbc286deded0480b, 12, 0xcbc286deded0480b),
-    (37, 0x760314194d198f5b, 37, 0xaa326511962ad3c6),
-    (21, 0x95bb26c524aebeb4, 21, 0x95bb26c524aebeb4),
-    (32, 0xaeb54d2dc600d935, 32, 0xaeb54d2dc600d935),
-    (50, 0x4434887300c68d47, 50, 0x4434887300c68d47),
-    (28, 0x786d5e06028bb8b0, 28, 0x786d5e06028bb8b0),
-    (29, 0x51e087b398a9f816, 29, 0x51e087b398a9f816),
-    (48, 0x1b7e9dea6e7c78b9, 48, 0x1b7e9dea6e7c78b9),
-    (39, 0xb85c5214950354c4, 39, 0xb85c5214950354c4),
-    (29, 0xbf174a6510f9317b, 29, 0xbf174a6510f9317b),
-    (45, 0xf715e91871a63c9b, 45, 0xf715e91871a63c9b),
-    (25, 0xba5765b7276829d8, 25, 0x6e95f62adbfc0c39),
-    (44, 0xe30a67a56de60e5a, 44, 0xe30a67a56de60e5a),
-    (31, 0x1f661c09ec11f498, 31, 0x1f661c09ec11f498),
-    (39, 0x407fdc3ee1230ec8, 39, 0x407fdc3ee1230ec8),
-    (29, 0xf3766f76c8199235, 29, 0xf3766f76c8199235),
-    (31, 0xd50e684952221870, 31, 0xd50e684952221870),
-    (51, 0x02e05f6602ed7cc8, 51, 0x02e05f6602ed7cc8),
-    (28, 0xc2fed66317c23a50, 28, 0xc2fed66317c23a50),
-    (16, 0x1e953b788684fa79, 16, 0x1e953b788684fa79),
-    (44, 0x5111597513ea0d85, 44, 0x5111597513ea0d85),
-    (33, 0x9886a43b9abe529e, 33, 0x9886a43b9abe529e),
-    (48, 0x910b249ed5cc3d40, 48, 0x910b249ed5cc3d40),
-    (21, 0x1aad917195868346, 21, 0xe31cb254879cf458),
-    (25, 0xf8f8f46040d38ca4, 25, 0xf8f8f46040d38ca4),
-    (40, 0x574032221855f639, 40, 0x574032221855f639),
-    (47, 0x01e10f5321878069, 47, 0x01e10f5321878069),
-    (33, 0x351ef6eced83133e, 33, 0x351ef6eced83133e),
-    (42, 0x3266bf3ac8850e49, 42, 0x3266bf3ac8850e49),
-    (44, 0x34ea858a16759d3e, 44, 0x34ea858a16759d3e),
-    (23, 0xbea7527e00f80812, 23, 0xbea7527e00f80812),
-    (22, 0xa5caf82fa9dd2461, 22, 0xa5caf82fa9dd2461),
-    (29, 0x5dbfa5378b86bc4b, 29, 0x5dbfa5378b86bc4b),
-    (43, 0x957d98a9f792fbc4, 43, 0x957d98a9f792fbc4),
+/// `(count, digest)` for the scripts seeded `0..64`.
+const SCRIPT_GOLDENS: [(usize, u64); 64] = [
+    (35, 0x46614aa9e3596dd8),
+    (33, 0xcc75ee8b4337a2ce),
+    (39, 0x5dc33be8f1ace61f),
+    (31, 0x9e014de5380269dc),
+    (24, 0x90846e653454e4de),
+    (25, 0x196e4a784b945798),
+    (32, 0xc22598d0c10f737d),
+    (36, 0x225d24780a7dbd82),
+    (26, 0x829128040a59a0c4),
+    (17, 0x99ea2aa70501d0c4),
+    (23, 0xcf4e4ef26aa20b33),
+    (47, 0x6b29cb2ad93054c1),
+    (12, 0x0489991abdd687a6),
+    (33, 0xd73e6054fe7162cf),
+    (38, 0x90ee1f5afe97b25f),
+    (15, 0xe484b94b6ed4089d),
+    (46, 0xf23555e5f0a8391e),
+    (15, 0x0cad4253f98b0b24),
+    (40, 0xbd0bbb0e1a0c152d),
+    (25, 0xe1f61b33bbaa07bd),
+    (23, 0xb3cce76fee4b8712),
+    (20, 0x01bb6e405bc1976a),
+    (38, 0xbf6d89ae48df1abf),
+    (20, 0xf2a18d7384155f3b),
+    (22, 0x20ac535de2b52671),
+    (17, 0x063beb527c9b69c9),
+    (27, 0x02b6bbd89e6ae2a1),
+    (26, 0x2748e70c54498263),
+    (40, 0x5831123c8e3e7e0e),
+    (37, 0x83d83442f0044f58),
+    (12, 0xcbc286deded0480b),
+    (37, 0xaa326511962ad3c6),
+    (21, 0x95bb26c524aebeb4),
+    (32, 0xaeb54d2dc600d935),
+    (50, 0x4434887300c68d47),
+    (28, 0x786d5e06028bb8b0),
+    (29, 0x51e087b398a9f816),
+    (48, 0x1b7e9dea6e7c78b9),
+    (39, 0xb85c5214950354c4),
+    (29, 0xbf174a6510f9317b),
+    (45, 0xf715e91871a63c9b),
+    (25, 0x4cd574de28a92cdb),
+    (44, 0xe30a67a56de60e5a),
+    (31, 0x1f661c09ec11f498),
+    (39, 0x407fdc3ee1230ec8),
+    (29, 0xf3766f76c8199235),
+    (31, 0xd50e684952221870),
+    (51, 0x02e05f6602ed7cc8),
+    (28, 0xc2fed66317c23a50),
+    (16, 0x1e953b788684fa79),
+    (44, 0x5111597513ea0d85),
+    (33, 0x9886a43b9abe529e),
+    (48, 0x910b249ed5cc3d40),
+    (21, 0xe31cb254879cf458),
+    (25, 0xf8f8f46040d38ca4),
+    (40, 0x574032221855f639),
+    (47, 0x01e10f5321878069),
+    (33, 0x351ef6eced83133e),
+    (42, 0x3266bf3ac8850e49),
+    (44, 0x34ea858a16759d3e),
+    (23, 0xbea7527e00f80812),
+    (22, 0xa5caf82fa9dd2461),
+    (29, 0x5dbfa5378b86bc4b),
+    (43, 0x957d98a9f792fbc4),
 ];
 
 #[test]
-fn seeded_scripts_match_goldens_in_both_modes() {
-    for (seed, &(ne, de, ni, di)) in SCRIPT_GOLDENS.iter().enumerate() {
+fn seeded_scripts_match_goldens() {
+    for (seed, &want) in SCRIPT_GOLDENS.iter().enumerate() {
         let c = cluster_for(seed as u64);
         let ops = script(seed as u64);
         assert_eq!(
-            digest(&run_ops(&c, &ops, Mode::Exact)),
-            (ne, de),
-            "exact, seed {seed}"
-        );
-        assert_eq!(
             digest(&run_ops(&c, &ops, Mode::Frontier)),
-            (ni, di),
-            "incremental, seed {seed}"
+            want,
+            "seed {seed}"
         );
     }
 }
 
 /// An alltoall-style storm on `fat_tree(4, 4)`: every GPU sends a chunk
 /// to every GPU of every other server, so each server pair's path
-/// carries 16 transfers per wave (runs of four identical ones merge,
-/// the runs differ in size), beside a ring of NVLink transfers per server. The
-/// waves overlap, one NIC is degraded and one is taken down and back
-/// up mid-storm.
+/// carries 16 transfers per wave (runs of four identical ones share a
+/// mark, the runs differ in size), beside a ring of NVLink transfers
+/// per server. The waves overlap, one NIC is degraded and one is taken
+/// down and back up mid-storm.
 fn storm(mode: Mode) -> Vec<(u8, u64, u64)> {
     let c = Cluster::fat_tree(4, 4);
-    let mut sim = NetSim::new(&c)
-        .with_incremental_allocator(mode != Mode::Exact)
-        .with_paranoid_refill(mode == Mode::Paranoid);
+    match mode {
+        Mode::Oracle => storm_on(&c, &mut Oracle::new(&c)),
+        _ => storm_on(
+            &c,
+            &mut NetSim::new(&c).with_paranoid_refill(mode == Mode::Paranoid),
+        ),
+    }
+}
+
+fn storm_on(c: &Cluster, sim: &mut impl Sim) -> Vec<(u8, u64, u64)> {
     let (n, g) = (c.instance_count(), 4);
     let mut out = Vec::new();
     let mut token = 0u64;
@@ -216,20 +219,19 @@ fn storm(mode: Mode) -> Vec<(u8, u64, u64)> {
             }
         }
     }
-    for ev in sim.drain() {
+    while let Some(ev) = sim.step() {
         record(&ev, &mut out);
     }
     out
 }
 
 #[test]
-fn alltoall_storm_matches_goldens_in_both_modes() {
-    assert_eq!(
-        digest(&storm(Mode::Exact)),
-        (1248, 0xbed9eac3e3df752c),
-        "exact"
-    );
+fn alltoall_storm_matches_goldens() {
     let frontier = storm(Mode::Frontier);
-    assert_eq!(digest(&frontier), (1248, 0xc291f02a83bc5592), "incremental");
+    assert_eq!(digest(&frontier), STORM_GOLDEN);
     assert_eq!(storm(Mode::Paranoid), frontier, "paranoid");
+    assert_tracks_oracle(&frontier, &storm(Mode::Oracle));
 }
+
+/// `(count, digest)` of the alltoall storm.
+const STORM_GOLDEN: (usize, u64) = (1248, 0x734098933f974115);
