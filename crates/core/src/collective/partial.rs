@@ -20,7 +20,6 @@ use adapcc_simnet::hardware::kernel_launch_overhead;
 use adapcc_simnet::time::SimTime;
 use adapcc_simnet::units::ByteSize;
 use adapcc_synth::primitive::Primitive;
-use adapcc_synth::strategy::Strategy;
 
 use crate::collective::assemble::SlotOutput;
 use crate::collective::pipeline::{ExecOutcome, Planned};
@@ -29,7 +28,7 @@ use crate::collective::spec::Fanout;
 use crate::error::AdapCCError;
 use crate::executor::ExecutionRequest;
 use crate::relay::restrict_to_active;
-use crate::session::AdapCC;
+use crate::session::{AdapCC, MemoEntry};
 
 impl<'c> AdapCC<'c> {
     /// Runs the single stage of `planned` as phase 1 among `active`
@@ -57,7 +56,7 @@ impl<'c> AdapCC<'c> {
         let phase1_ready: BTreeMap<Rank, SimTime> =
             active.iter().map(|r| (*r, eff[r].max(start))).collect();
         let single = stage.fanout == Fanout::Single;
-        let muted = single.then(|| restrict_to_active(&planned.strategies[0][0], active));
+        let muted = single.then(|| restrict_to_active(&planned.strategies[0][0].strategy, active));
         let p1 = owned_by(active);
         let p1_requests = match &muted {
             Some(m) => {
@@ -99,13 +98,13 @@ impl<'c> AdapCC<'c> {
                     .iter()
                     .map(|(s, r, bytes)| {
                         let t = eff.get(r).copied().unwrap_or(phase1_end);
-                        ExecutionRequest::timing(s, *bytes)
+                        s.request(*bytes)
                             .with_ready([(*r, t.max(phase1_end))].into())
                     })
                     .collect();
                 let phase2 = self.executor().try_execute(&requests)?;
                 // Local combine kernels, one per late tensor.
-                let root = planned.strategies[0][0].subs[0]
+                let root = planned.strategies[0][0].strategy.subs[0]
                     .root
                     .expect("allreduce strategies are rooted");
                 let (inst, _) = self.cluster.locate(root);
@@ -184,7 +183,7 @@ impl<'c> AdapCC<'c> {
         phase1_end: SimTime,
         late: &[Rank],
         ready: &BTreeMap<Rank, SimTime>,
-    ) -> Vec<(Arc<Strategy>, Rank, ByteSize)> {
+    ) -> Vec<(Arc<MemoEntry>, Rank, ByteSize)> {
         let phase1_span = phase1_end.duration_since(start).as_secs().max(1e-9);
         late.iter()
             .map(|r| {
@@ -203,7 +202,7 @@ impl<'c> AdapCC<'c> {
                     root: Some(*r),
                     scope: self.active_scope.clone(),
                 };
-                (self.shared_strategy(&key), *r, ByteSize::from_bytes(bytes))
+                (self.memo_entry(&key), *r, ByteSize::from_bytes(bytes))
             })
             .collect()
     }

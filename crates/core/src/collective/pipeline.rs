@@ -14,7 +14,6 @@ use std::sync::Arc;
 use adapcc_simnet::cluster::Rank;
 use adapcc_simnet::time::{SimDuration, SimTime};
 use adapcc_simnet::units::ByteSize;
-use adapcc_synth::strategy::Strategy;
 
 use crate::collective::assemble::{assemble, SlotOutput};
 use crate::collective::plan::{expand, StagePlan};
@@ -23,7 +22,7 @@ use crate::collective::spec::{CollectiveSpec, Fanout, RelayPolicy};
 use crate::error::AdapCCError;
 use crate::executor::ExecutionRequest;
 use crate::relay::Decision;
-use crate::session::AdapCC;
+use crate::session::{AdapCC, MemoEntry};
 
 /// A spec lowered onto the current worker set with every stage
 /// strategy synthesized (or served from the memo / plan cache).
@@ -32,8 +31,9 @@ pub(super) struct Planned<'s> {
     pub(super) root: Option<Rank>,
     pub(super) tensor: ByteSize,
     pub(super) stages: Vec<StagePlan>,
-    /// Each stage's sub-plan strategies, shared with the session memo.
-    pub(super) strategies: Vec<Vec<Arc<Strategy>>>,
+    /// Each stage's sub-plan strategies, shared with the session memo
+    /// together with their compiled plans.
+    pub(super) strategies: Vec<Vec<Arc<MemoEntry>>>,
 }
 
 /// What one execution produced: the completion instant, the per-slot
@@ -60,7 +60,8 @@ impl Planned<'_> {
         subs.into_iter()
             .map(|j| {
                 let sub = &stage.subs[j];
-                let mut req = ExecutionRequest::timing(&self.strategies[i][j], sub.tensor)
+                let mut req = self.strategies[i][j]
+                    .request(sub.tensor)
                     .with_ready(ready.clone());
                 req.inputs = inputs.map(|inp| stage.sub_inputs(sub, inp, self.root));
                 req
@@ -269,18 +270,18 @@ impl<'c> AdapCC<'c> {
                 }
             }
         }
-        let mut strategies: Vec<Vec<Arc<Strategy>>> = Vec::with_capacity(stages.len());
+        let mut strategies: Vec<Vec<Arc<MemoEntry>>> = Vec::with_capacity(stages.len());
         let mut memo_miss = false;
         for i in 0..stages.len() {
             if i > 0 && stages[i].fanout == Fanout::Single && stages[i].subs[0].root.is_none() {
-                stages[i].subs[0].root = strategies[i - 1][0].subs[0].root;
+                stages[i].subs[0].root = strategies[i - 1][0].strategy.subs[0].root;
             }
             let primitive = stages[i].primitive;
             let mut row = Vec::with_capacity(stages[i].subs.len());
             for sub in &stages[i].subs {
                 let key = sub.key(primitive);
                 memo_miss |= !self.strategies.contains_key(&key);
-                row.push(self.shared_strategy(&key));
+                row.push(self.memo_entry(&key));
             }
             strategies.push(row);
         }
@@ -324,7 +325,7 @@ impl<'c> AdapCC<'c> {
                 // fault candidates, the raw map goes to the
                 // coordinator, and the buy estimate carries a measured
                 // phase-2 broadcast unit.
-                let strategy = &planned.strategies[0][0];
+                let strategy = &planned.strategies[0][0].strategy;
                 let droot = strategy.subs[0]
                     .root
                     .expect("allreduce strategies are rooted");
@@ -345,7 +346,7 @@ impl<'c> AdapCC<'c> {
                     .collect();
                 let stage = &planned.stages[0];
                 let droot = match stage.fanout {
-                    Fanout::Single => planned.strategies[0][0].subs[0]
+                    Fanout::Single => planned.strategies[0][0].strategy.subs[0]
                         .root
                         .expect("rooted strategy"),
                     _ => {
@@ -365,7 +366,7 @@ impl<'c> AdapCC<'c> {
                 };
                 let est = self.modeled_buy_estimate(
                     planned.spec.estimate_as,
-                    &planned.strategies[0][0],
+                    &planned.strategies[0][0].strategy,
                     stage.subs[0].tensor,
                 );
                 let decision = self.coordinator.decide(workers, droot, &eff, &est);
@@ -445,9 +446,241 @@ impl<'c> AdapCC<'c> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::executor::Executor;
     use crate::session::InitOptions;
-    use adapcc_simnet::cluster::Cluster;
+    use adapcc_simnet::cluster::{Cluster, InstanceId};
+    use adapcc_synth::primitive::Primitive;
+    use adapcc_synth::solver::SynthConfig;
     use adapcc_telemetry::Telemetry;
+
+    type Tensors = BTreeMap<Rank, Vec<f32>>;
+
+    fn quick_options() -> InitOptions {
+        InitOptions {
+            synth: SynthConfig {
+                anneal_iters: 24,
+                ..Default::default()
+            },
+            ..Default::default()
+        }
+    }
+
+    fn inputs_for(workers: &[Rank], elems: usize) -> Tensors {
+        workers
+            .iter()
+            .map(|r| {
+                let buf = (0..elems)
+                    .map(|i| ((r.0 * 31 + i * 7) % 97) as f32 / 9.0)
+                    .collect();
+                (*r, buf)
+            })
+            .collect()
+    }
+
+    /// Every public entry point: its name, its spec and its root.
+    fn entry_points(root: Rank) -> Vec<(&'static str, CollectiveSpec, Option<Rank>)> {
+        vec![
+            ("allreduce", CollectiveSpec::allreduce(), None),
+            (
+                "allreduce_adaptive",
+                CollectiveSpec::allreduce_adaptive(),
+                None,
+            ),
+            ("reduce", CollectiveSpec::reduce(), None),
+            ("broadcast", CollectiveSpec::broadcast(), Some(root)),
+            ("alltoall", CollectiveSpec::alltoall(), None),
+            ("allgather", CollectiveSpec::allgather(), None),
+            ("reduce_scatter", CollectiveSpec::reduce_scatter(), None),
+            ("gather", CollectiveSpec::gather(), Some(root)),
+            ("scatter", CollectiveSpec::scatter(), Some(root)),
+        ]
+    }
+
+    /// Calls the entry point `name` through the public API.
+    fn call(
+        cc: &mut AdapCC<'_>,
+        name: &str,
+        root: Option<Rank>,
+        tensor: ByteSize,
+        ready: &BTreeMap<Rank, SimTime>,
+        inputs: &Tensors,
+    ) -> IterationReport {
+        let inputs = Some(inputs.clone());
+        let root = || root.expect("rooted entry point");
+        match name {
+            "allreduce" => cc.allreduce(tensor, ready, inputs),
+            "allreduce_adaptive" => cc.allreduce_adaptive(tensor, ready, inputs),
+            "reduce" => cc.reduce(tensor, ready, inputs),
+            "broadcast" => cc.broadcast(root(), tensor, ready, inputs),
+            "alltoall" => cc.alltoall(tensor, ready, inputs),
+            "allgather" => cc.allgather(tensor, ready, inputs),
+            "reduce_scatter" => cc.reduce_scatter(tensor, ready, inputs),
+            "gather" => cc.gather(root(), tensor, ready, inputs),
+            "scatter" => cc.scatter(root(), tensor, ready, inputs),
+            other => unreachable!("no entry point {other}"),
+        }
+        .unwrap_or_else(|e| panic!("{name}: {e}"))
+    }
+
+    /// The spec run by a fresh executor, which validates and lowers
+    /// every strategy anew: finish, bytes on the wire and the
+    /// assembled outputs.
+    fn fresh(
+        cc: &mut AdapCC<'_>,
+        spec: &CollectiveSpec,
+        root: Option<Rank>,
+        tensor: ByteSize,
+        ready: &BTreeMap<Rank, SimTime>,
+        inputs: &Tensors,
+    ) -> (SimTime, u64, Tensors) {
+        let planned = cc
+            .plan_collective(spec, root, tensor, &Telemetry::disabled())
+            .unwrap();
+        assert_eq!(planned.stages.len(), 1, "{}: one stage", spec.name);
+        let stage = &planned.stages[0];
+        let mut requests = planned.requests(0, 0..stage.subs.len(), ready, Some(inputs));
+        for r in &mut requests {
+            r.plan = None;
+        }
+        let batch = Executor::new(cc.cluster, &cc.topo)
+            .with_capacity_factors(&cc.fabric_factors)
+            .try_execute(&requests)
+            .unwrap();
+        let workers = cc.workers().to_vec();
+        let slots = batch
+            .requests
+            .into_iter()
+            .enumerate()
+            .map(|(j, r)| planned.slot(0, j, Some(r.outputs), &workers))
+            .collect();
+        let elems = (stage.subs[0].tensor.as_u64() / 4) as usize;
+        let outputs = assemble(spec.assemble, &workers, root, elems, inputs, slots);
+        (batch.finish, batch.bytes_on_wire, outputs)
+    }
+
+    /// Bit-for-bit equality of two output maps.
+    fn same_bits(a: &Tensors, b: &Tensors) -> bool {
+        a.len() == b.len()
+            && a.iter().zip(b).all(|((ra, xa), (rb, xb))| {
+                ra == rb
+                    && xa.len() == xb.len()
+                    && xa.iter().zip(xb).all(|(x, y)| x.to_bits() == y.to_bits())
+            })
+    }
+
+    #[test]
+    fn compiled_plans_match_fresh_lowering_for_every_entry_point() {
+        for cluster in [Cluster::paper_testbed(), Cluster::homogeneous_a100(16)] {
+            let telemetry = Telemetry::enabled();
+            let mut cc = AdapCC::init(
+                &cluster,
+                InitOptions {
+                    telemetry: telemetry.clone(),
+                    ..quick_options()
+                },
+            );
+            cc.setup();
+            let workers = cc.workers().to_vec();
+            let n = workers.len();
+            // Divisible by every worker count: shards and alltoall
+            // messages align.
+            let elems = 2 * 64 * 24;
+            let tensor = ByteSize::from_bytes(elems as u64 * 4);
+            let inputs = inputs_for(&workers, elems);
+            // Everyone ready together: the adaptive entry point waits
+            // for all.
+            let ready = workers.iter().map(|w| (*w, SimTime::ZERO)).collect();
+            for (name, spec, root) in entry_points(workers[n / 2]) {
+                let want = fresh(&mut cc, &spec, root, tensor, &ready, &inputs);
+                for attempt in ["compiles", "reuses"] {
+                    let before = telemetry.counter("exec.bytes_on_wire");
+                    let report = call(&mut cc, name, root, tensor, &ready, &inputs);
+                    let bytes = telemetry.counter("exec.bytes_on_wire") - before;
+                    let at = format!("{name} on {n} GPUs, the call that {attempt} its plans");
+                    assert!(
+                        matches!(report.decision, Decision::WaitAll { .. }),
+                        "{at}: waits for all"
+                    );
+                    assert_eq!(
+                        report.finish.as_secs().to_bits(),
+                        want.0.as_secs().to_bits(),
+                        "{at}"
+                    );
+                    assert_eq!(bytes, want.1 as f64, "{at}");
+                    assert!(same_bits(&report.outputs, &want.2), "{at}: outputs differ");
+                }
+            }
+        }
+    }
+
+    /// Every memo entry whose plan has been compiled.
+    fn compiled(cc: &AdapCC<'_>) -> Vec<Arc<MemoEntry>> {
+        cc.strategies
+            .values()
+            .filter(|e| e.plan.get().is_some())
+            .cloned()
+            .collect()
+    }
+
+    #[test]
+    fn membership_profile_and_topology_changes_retire_every_compiled_plan() {
+        let c = Cluster::homogeneous_a100(4);
+        let mut cc = AdapCC::init(&c, quick_options());
+        cc.setup();
+        // Three of four servers, so the scale-out joins a new instance.
+        cc.set_workers((0..12).map(Rank).collect());
+        let tensor = ByteSize::from_kib(64);
+        let mut retired: Vec<Arc<MemoEntry>> = Vec::new();
+        let mut run = |cc: &mut AdapCC<'_>, step: &str| {
+            let inputs = inputs_for(cc.workers(), 64 * 1024 / 4);
+            cc.allreduce(tensor, &BTreeMap::new(), Some(inputs))
+                .unwrap_or_else(|e| panic!("{step}: {e}"));
+            let now = compiled(cc);
+            assert!(!now.is_empty(), "{step}: the call compiled its plan");
+            for e in &now {
+                assert!(
+                    !retired.iter().any(|old| Arc::ptr_eq(old, e)),
+                    "{step}: a plan compiled before it ran"
+                );
+            }
+            retired.extend(now);
+        };
+        run(&mut cc, "start");
+        cc.set_workers((0..8).map(Rank).collect());
+        run(&mut cc, "set_workers");
+        cc.set_fabric_factors(vec![(c.nic_egress_link(InstanceId(0)), 0.5)]);
+        assert!(cc.reprofile().changed, "the halved NIC re-synthesizes");
+        run(&mut cc, "reprofile");
+        cc.exclude_workers(&[Rank(7)]);
+        run(&mut cc, "exclusion");
+        let joined = cc
+            .add_workers(&(12..16).map(Rank).collect::<Vec<_>>())
+            .expect("ranks of the fourth server join");
+        assert!(joined.detection.as_secs() > 0.0, "the scale-out re-detects");
+        run(&mut cc, "scale-out");
+    }
+
+    #[test]
+    fn raw_batches_still_validate_their_strategies() {
+        let c = Cluster::homogeneous_a100(2);
+        let mut cc = AdapCC::init(&c, quick_options());
+        cc.setup();
+        let tensor = ByteSize::from_kib(64);
+        cc.allreduce(tensor, &BTreeMap::new(), None).unwrap();
+        let mut broken = cc.strategy_for(Primitive::AllReduce, tensor).clone();
+        broken.subs[0].fraction += 0.5;
+        let err = cc
+            .run_batch(&[ExecutionRequest::timing(&broken, tensor)])
+            .expect_err("fractions no longer sum to one");
+        assert!(
+            matches!(&err, AdapCCError::InvalidRequest(msg) if msg.contains("validate")),
+            "{err}"
+        );
+        let valid = cc.strategy_for(Primitive::AllReduce, tensor).clone();
+        assert!(cc
+            .run_batch(&[ExecutionRequest::timing(&valid, tensor)])
+            .is_ok());
+    }
 
     #[test]
     fn plans_share_the_memos_strategies() {

@@ -37,7 +37,7 @@ mod scaling;
 mod tests;
 
 use std::collections::{BTreeMap, HashMap};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, OnceLock};
 
 use adapcc_planserve::{PlanService, PlanStats, ServiceConfig};
 use adapcc_profile::profiler::{LinkProfile, Profiler};
@@ -59,6 +59,7 @@ use adapcc_synth::group::ProcessGroup;
 
 use crate::collective::plan::StrategyKey;
 use crate::communicator::Communicator;
+use crate::executor::{CompiledPlan, EdgePaths, ExecutionRequest};
 use crate::reconstruct::ReconstructReport;
 use crate::relay::{BuyEstimate, Coordinator, RelayConfig};
 
@@ -124,6 +125,23 @@ impl InitReport {
     }
 }
 
+/// One memoized strategy, and the plan its first execution compiles:
+/// validated and lowered once, reused by every later call until the
+/// memo drops the entry.
+#[derive(Debug)]
+pub(crate) struct MemoEntry {
+    pub(crate) strategy: Strategy,
+    pub(crate) plan: OnceLock<CompiledPlan>,
+}
+
+impl MemoEntry {
+    /// A timing-only request of `tensor` bytes that carries the
+    /// entry's compiled plan.
+    pub(crate) fn request(&self, tensor: adapcc_simnet::units::ByteSize) -> ExecutionRequest<'_> {
+        ExecutionRequest::timing(&self.strategy, tensor).with_plan(&self.plan)
+    }
+}
+
 /// The AdapCC session over one cluster.
 ///
 /// # Examples
@@ -153,8 +171,13 @@ pub struct AdapCC<'c> {
     pub(crate) coordinator: Coordinator,
     /// Per-worker-set strategy memo, cleared on every worker-set or
     /// profile change; keyed by the canonical [`StrategyKey`]. Plans
-    /// lend their entries out by reference count, never by copy.
-    pub(crate) strategies: HashMap<StrategyKey, Arc<Strategy>>,
+    /// lend their entries out by reference count, never by copy. Each
+    /// entry keeps the executor tables its strategy's first execution
+    /// compiled, so they go wherever the entry goes.
+    pub(crate) strategies: HashMap<StrategyKey, Arc<MemoEntry>>,
+    /// The physical path of every logical edge the executor has
+    /// crossed, built once per topology and shared by every run.
+    pub(crate) edge_paths: Mutex<EdgePaths>,
     /// The fingerprinted plan store behind `strategies`. Unlike the
     /// memo (cleared on every worker-set change), it is keyed by
     /// content and survives `set_workers`, reprofiles and exclusions —
@@ -220,6 +243,7 @@ impl<'c> AdapCC<'c> {
             .plan_service
             .clone()
             .unwrap_or_else(|| Arc::new(PlanService::new(ServiceConfig::one_shard())));
+        let edge_paths = Mutex::new(EdgePaths::new(topo.edge_count()));
         AdapCC {
             cluster,
             coordinator: Coordinator::new(options.seed)
@@ -232,6 +256,7 @@ impl<'c> AdapCC<'c> {
             init_report,
             communicator: Communicator::new(),
             strategies: HashMap::new(),
+            edge_paths,
             plan_service,
             plan_stats: PlanStats::default(),
             estimates: HashMap::new(),

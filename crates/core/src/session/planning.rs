@@ -1,7 +1,7 @@
 //! Lazy strategy synthesis through the plan service, zero-skew
 //! execution caching, ski-rental buy estimates, and raw executor access.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use adapcc_plancache::{fingerprint, Fingerprint, FingerprintInputs};
 use adapcc_planserve::{synthesize, PlanService, PlanStats};
@@ -16,7 +16,7 @@ use crate::collective::plan::StrategyKey;
 use crate::error::AdapCCError;
 use crate::executor::{BatchReport, ExecutionRequest, Executor};
 use crate::relay::BuyEstimate;
-use crate::session::AdapCC;
+use crate::session::{AdapCC, MemoEntry};
 
 impl<'c> AdapCC<'c> {
     /// The synthesized strategy for a primitive/tensor pair (cached).
@@ -56,19 +56,24 @@ impl<'c> AdapCC<'c> {
     /// scopes built ad hoc (pairwise stages) rather than via
     /// [`AdapCC::group`].
     pub(crate) fn strategy_for_key(&mut self, key: &StrategyKey) -> &Strategy {
-        self.shared_strategy(key);
-        &self.strategies[key]
+        self.memo_entry(key);
+        &self.strategies[key].strategy
     }
 
-    /// [`strategy_for_key`](Self::strategy_for_key), lent out of the
-    /// memo: every caller shares the memo's one allocation.
-    pub(crate) fn shared_strategy(&mut self, key: &StrategyKey) -> Arc<Strategy> {
+    /// The memo entry behind [`strategy_for_key`](Self::strategy_for_key),
+    /// lent out: every caller shares the memo's one allocation, and
+    /// with it the plan the strategy's first execution compiles.
+    pub(crate) fn memo_entry(&mut self, key: &StrategyKey) -> Arc<MemoEntry> {
         if let Some(g) = &key.scope {
             self.groups.insert(g.id(), g.clone());
         }
         if !self.strategies.contains_key(key) {
             let strategy = self.resolve_strategy(key);
-            self.strategies.insert(key.clone(), Arc::new(strategy));
+            let entry = MemoEntry {
+                strategy,
+                plan: OnceLock::new(),
+            };
+            self.strategies.insert(key.clone(), Arc::new(entry));
         }
         Arc::clone(&self.strategies[key])
     }
@@ -184,15 +189,21 @@ impl<'c> AdapCC<'c> {
     /// An executor over the current fabric: live capacity factors
     /// always, fault schedule + stall deadlines when one is armed.
     pub(crate) fn executor(&self) -> Executor<'_> {
-        let mut exec = Executor::new(self.cluster, &self.topo)
-            .with_capacity_factors(&self.fabric_factors)
-            .with_telemetry(self.pipeline_telemetry());
+        let mut exec = self.fabric().with_telemetry(self.pipeline_telemetry());
         if let Some(schedule) = &self.fault_schedule {
             exec = exec
                 .with_fault_schedule(schedule.clone(), self.session_clock)
                 .with_deadline_multiplier(self.recovery.deadline_multiplier);
         }
         exec
+    }
+
+    /// A bare executor over the current fabric: the session's path
+    /// table and live capacity factors, no telemetry or faults.
+    fn fabric(&self) -> Executor<'_> {
+        Executor::new(self.cluster, &self.topo)
+            .with_edge_paths(&self.edge_paths)
+            .with_capacity_factors(&self.fabric_factors)
     }
 
     /// The session telemetry offset past init (detection + profiling),
@@ -207,22 +218,20 @@ impl<'c> AdapCC<'c> {
     /// Executes a raw request batch on the session's fabric (capacity
     /// factors and any armed fault schedule included), without the
     /// recovery loop. Chaos harnesses and tests use it to observe raw
-    /// classified faults.
+    /// classified faults. Each request's strategy is validated and
+    /// lowered for this batch alone: raw strategies are not cached.
     pub fn run_batch(&self, requests: &[ExecutionRequest<'_>]) -> Result<BatchReport, AdapCCError> {
         self.executor().try_execute(requests)
     }
 
     /// Zero-skew execution time of a cached strategy (measured once).
-    pub(crate) fn cached_exec_secs(&mut self, key: &StrategyKey, strategy: &Strategy) -> f64 {
+    pub(crate) fn cached_exec_secs(&mut self, key: &StrategyKey, entry: &MemoEntry) -> f64 {
         if let Some(t) = self.exec_cache.get(key) {
             return *t;
         }
-        let t = Executor::new(self.cluster, &self.topo)
-            .with_capacity_factors(&self.fabric_factors)
-            .execute(&[ExecutionRequest::timing(
-                strategy,
-                ByteSize::from_bytes(key.tensor),
-            )])
+        let t = self
+            .fabric()
+            .execute(&[entry.request(ByteSize::from_bytes(key.tensor))])
             .finish
             .as_secs();
         self.exec_cache.insert(key.clone(), t);
@@ -240,17 +249,15 @@ impl<'c> AdapCC<'c> {
         }
         let scope_workers = self.scope_workers();
         let probe_root = scope_workers[scope_workers.len() / 2];
-        let bstrat = self
-            .strategy_for_key(&StrategyKey {
-                primitive: Primitive::Broadcast,
-                tensor: tensor.as_u64(),
-                root: Some(probe_root),
-                scope: self.active_scope.clone(),
-            })
-            .clone();
-        let unit = Executor::new(self.cluster, &self.topo)
-            .with_capacity_factors(&self.fabric_factors)
-            .execute(&[ExecutionRequest::timing(&bstrat, tensor)])
+        let probe = self.memo_entry(&StrategyKey {
+            primitive: Primitive::Broadcast,
+            tensor: tensor.as_u64(),
+            root: Some(probe_root),
+            scope: self.active_scope.clone(),
+        });
+        let unit = self
+            .fabric()
+            .execute(&[probe.request(tensor)])
             .finish
             .as_secs();
         let est =

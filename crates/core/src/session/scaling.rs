@@ -1,6 +1,8 @@
 //! In-place graph reconstruction (reprofile → re-solve → re-set-up)
 //! and elastic worker-set changes (scale-out, exclusion).
 
+use std::sync::Mutex;
+
 use adapcc_profile::profiler::Profiler;
 use adapcc_simnet::cluster::Rank;
 use adapcc_simnet::time::SimDuration;
@@ -8,6 +10,7 @@ use adapcc_topo::detect::Detector;
 
 use crate::collective::plan::StrategyKey;
 use crate::error::AdapCCError;
+use crate::executor::EdgePaths;
 use crate::reconstruct::ReconstructReport;
 use crate::session::AdapCC;
 
@@ -178,6 +181,9 @@ impl<'c> AdapCC<'c> {
             let report = detector.run();
             self.detection = report.clone();
             self.topo = report.logical_topology(self.cluster);
+            // Paths of the old topology's edges; the memo's plans go
+            // with `set_workers` below.
+            self.edge_paths = Mutex::new(EdgePaths::new(self.topo.edge_count()));
             report.elapsed
         } else {
             SimDuration::ZERO

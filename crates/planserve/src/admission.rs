@@ -19,9 +19,14 @@
 //! flight failed through [`LeaderGuard`]'s `Drop` and wakes the
 //! waiters, which retry admission from the top; one of them becomes
 //! the next leader. No flight ever strands its herd.
+//!
+//! A panic while a flight or the table is locked poisons that lock.
+//! Every critical section here leaves its state whole (a flag, an
+//! insert or a removal), so the locks are taken through poisoning
+//! rather than passing one thread's panic on to every later tenant.
 
 use std::collections::HashMap;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 use adapcc_plancache::CachedPlan;
 
@@ -40,26 +45,31 @@ pub struct Flight {
     cv: Condvar,
 }
 
+/// Locks `m`, through poisoning (see the module docs).
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 impl Flight {
     /// Blocks until the leader publishes or fails; `None` means the
     /// leader died and the caller must retry admission.
     pub fn wait(&self) -> Option<Arc<CachedPlan>> {
-        let mut state = self.state.lock().expect("flight lock poisoned");
+        let mut state = lock(&self.state);
         while !state.done && !state.failed {
-            state = self.cv.wait(state).expect("flight lock poisoned");
+            state = self.cv.wait(state).unwrap_or_else(PoisonError::into_inner);
         }
         state.result.clone()
     }
 
     fn publish(&self, plan: Arc<CachedPlan>) {
-        let mut state = self.state.lock().expect("flight lock poisoned");
+        let mut state = lock(&self.state);
         state.done = true;
         state.result = Some(plan);
         self.cv.notify_all();
     }
 
     fn fail(&self) {
-        let mut state = self.state.lock().expect("flight lock poisoned");
+        let mut state = lock(&self.state);
         if !state.done {
             state.failed = true;
             self.cv.notify_all();
@@ -96,7 +106,7 @@ impl FlightTable {
     /// flight exists and should consult the store: a hit there means a
     /// previous leader just landed and no solve is needed.
     pub fn join(&self, key: u128, recheck: impl FnOnce() -> Option<Arc<CachedPlan>>) -> Joined<'_> {
-        let mut flights = self.flights.lock().expect("flight table poisoned");
+        let mut flights = lock(&self.flights);
         if let Some(flight) = flights.get(&key) {
             return Joined::Wait(Arc::clone(flight));
         }
@@ -115,14 +125,11 @@ impl FlightTable {
 
     /// Open flights right now (monitoring only).
     pub fn open(&self) -> usize {
-        self.flights.lock().expect("flight table poisoned").len()
+        lock(&self.flights).len()
     }
 
     fn retire(&self, key: u128) {
-        self.flights
-            .lock()
-            .expect("flight table poisoned")
-            .remove(&key);
+        lock(&self.flights).remove(&key);
     }
 }
 
@@ -242,5 +249,29 @@ mod tests {
         assert_eq!(table.open(), 0, "failed flight retired");
         // Retry elects a fresh leader.
         assert!(matches!(table.join(7, || None), Joined::Lead(_)));
+    }
+
+    #[test]
+    fn poisoned_flight_locks_still_admit_and_publish() {
+        let table = FlightTable::new();
+        let Joined::Lead(lead) = table.join(1, || None) else {
+            panic!("expected leadership");
+        };
+        let Joined::Wait(flight) = table.join(1, || None) else {
+            panic!("expected to wait behind the leader");
+        };
+        // A panic while holding the flight's lock and the table's lock.
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _state = flight.state.lock().unwrap();
+            let _flights = table.flights.lock().unwrap();
+            panic!("tenant crashed under the locks");
+        }));
+        assert!(outcome.is_err());
+        assert!(flight.state.is_poisoned() && table.flights.is_poisoned());
+        assert_eq!(table.open(), 1);
+        lead.publish(plan());
+        assert_eq!(flight.wait(), Some(plan()), "waiters still get the plan");
+        assert_eq!(table.open(), 0);
+        assert!(matches!(table.join(2, || None), Joined::Lead(_)));
     }
 }

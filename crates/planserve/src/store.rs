@@ -14,10 +14,15 @@
 //! per-shard budgets sum to at most the global budget, so the whole
 //! store can never exceed it — the invariant the stress test in
 //! `tests/plan_service.rs` hammers.
+//!
+//! A panic while a shard's write lock is held (an insert torn
+//! mid-eviction) poisons that shard. The store is a cache, so the
+//! next thread to lock the shard drops its entries and clears the
+//! poison instead of passing the panic on to every later tenant.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use adapcc_plancache::{CachedPlan, Fingerprint};
 
@@ -108,6 +113,35 @@ impl ShardedStore {
         &self.shards[(fp.shape % self.shards.len() as u64) as usize]
     }
 
+    /// Write-locks a shard; a poisoned one is emptied first.
+    fn write<'s>(&self, lock: &'s RwLock<Shard>) -> RwLockWriteGuard<'s, Shard> {
+        lock.write().unwrap_or_else(|poisoned| {
+            let mut shard = poisoned.into_inner();
+            let dropped = shard.bytes;
+            // Relaxed like every other update of the mirror; the
+            // closure always returns `Some`, so this cannot fail.
+            let _ = self
+                .total_bytes
+                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |t| {
+                    Some(t.saturating_sub(dropped))
+                });
+            *shard = Shard::default();
+            lock.clear_poison();
+            shard
+        })
+    }
+
+    /// Read-locks a shard; a poisoned one is emptied first.
+    fn read<'s>(&self, lock: &'s RwLock<Shard>) -> RwLockReadGuard<'s, Shard> {
+        lock.read().unwrap_or_else(|poisoned| {
+            drop(poisoned);
+            drop(self.write(lock));
+            // Poisoned again only by a panic in between; serve that
+            // shard's entries as they stand rather than panic here.
+            lock.read().unwrap_or_else(PoisonError::into_inner)
+        })
+    }
+
     fn touch(&self, entry: &Entry) {
         let now = self.tick.fetch_add(1, Ordering::Relaxed) + 1;
         entry.stamp.store(now, Ordering::Relaxed);
@@ -115,7 +149,7 @@ impl ShardedStore {
 
     /// Exact lookup; bumps the entry's recency under the read lock.
     pub fn get(&self, fp: &Fingerprint) -> Option<Arc<CachedPlan>> {
-        let shard = self.shard(fp).read().expect("store lock poisoned");
+        let shard = self.read(self.shard(fp));
         let entry = shard.entries.get(&fp.key())?;
         self.touch(entry);
         Some(Arc::clone(&entry.plan))
@@ -124,7 +158,7 @@ impl ShardedStore {
     /// Warm-start candidate: the latest entry whose structural half
     /// matches `fp.shape` (the exact key is already known absent).
     pub fn warm_candidate(&self, fp: &Fingerprint) -> Option<Arc<CachedPlan>> {
-        let shard = self.shard(fp).read().expect("store lock poisoned");
+        let shard = self.read(self.shard(fp));
         let prev = shard.by_shape.get(&fp.shape)?;
         let entry = shard.entries.get(&prev.key())?;
         self.touch(entry);
@@ -140,7 +174,7 @@ impl ShardedStore {
         if bytes > self.shard_budget {
             return InsertOutcome::default();
         }
-        let mut shard = self.shard(&fp).write().expect("store lock poisoned");
+        let mut shard = self.write(self.shard(&fp));
         let mut outcome = InsertOutcome {
             stored: true,
             evicted: 0,
@@ -190,10 +224,7 @@ impl ShardedStore {
 
     /// Total entries across all shards.
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.read().expect("store lock poisoned").entries.len())
-            .sum()
+        self.shards.iter().map(|s| self.read(s).entries.len()).sum()
     }
 
     /// Whether the store holds no entries.
@@ -311,5 +342,33 @@ mod tests {
         store.insert(fp(5, 5), plan(1));
         assert_eq!(store.bytes(), b1, "replacement must not leak bytes");
         assert_eq!(store.len(), 1);
+    }
+
+    /// Panics while holding `lock`'s write guard, poisoning it.
+    fn poison(lock: &RwLock<Shard>) {
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _guard = lock.write().unwrap();
+            panic!("torn insert");
+        }));
+        assert!(outcome.is_err() && lock.is_poisoned());
+    }
+
+    #[test]
+    fn a_poisoned_shard_drops_its_entries_and_serves_on() {
+        let store = ShardedStore::new(2, 1 << 20);
+        let (a, b) = (fp(0, 1), fp(1, 1)); // shards 0 and 1
+        store.insert(a, plan(1));
+        store.insert(b, plan(2));
+        poison(&store.shards[0]);
+        assert!(store.get(&a).is_none(), "the poisoned shard is emptied");
+        assert!(!store.shards[0].is_poisoned(), "and its poison cleared");
+        assert_eq!(store.get(&b).unwrap(), plan(2), "other shards keep theirs");
+        assert_eq!(store.bytes(), approx_plan_bytes(&plan(2)));
+        // Writers recover the same way, and the shard serves again.
+        poison(&store.shards[1]);
+        assert!(store.insert(a, plan(3)).stored);
+        assert_eq!(store.len(), 1);
+        assert_eq!(store.get(&a).unwrap(), plan(3));
+        assert_eq!(store.bytes(), approx_plan_bytes(&plan(3)));
     }
 }

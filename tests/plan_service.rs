@@ -200,6 +200,53 @@ fn byte_budget_holds_under_concurrent_eviction_pressure() {
     assert!(service.len() as u64 == stats.entries);
 }
 
+/// A solve that panics fails its own caller only. Threads resolving
+/// other keys on the same shard all the while still get their plans,
+/// and a later caller of the crashed key leads a fresh solve.
+#[test]
+fn a_panicking_solve_spares_the_other_tenants_of_its_shard() {
+    let env = env();
+    let keys = workloads(env);
+    let plans: Vec<CachedPlan> = keys[..4]
+        .iter()
+        .map(|(_, req)| {
+            let (strategy, seed) = synth(env).synthesize_with_seed(req);
+            CachedPlan { strategy, seed }
+        })
+        .collect();
+    // One shard: every key lives behind the crashed solve's stripe.
+    let service = PlanService::new(ServiceConfig {
+        shards: 1,
+        byte_budget: 1 << 24,
+        warm_start: false,
+    });
+    let barrier = Barrier::new(4);
+    std::thread::scope(|scope| {
+        let (service, keys, plans, barrier) = (&service, &keys, &plans, &barrier);
+        scope.spawn(move || {
+            barrier.wait();
+            let crashed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                service.resolve(keys[0].0, |_seed| panic!("solver crashed"))
+            }));
+            assert!(crashed.is_err(), "the crash reaches its own caller");
+        });
+        for t in 0..3 {
+            scope.spawn(move || {
+                barrier.wait();
+                for i in 0..60 {
+                    let k = 1 + (i + t) % 3;
+                    let resolved = service.resolve(keys[k].0, |_seed| (plans[k].clone(), false));
+                    assert_eq!(resolved.plan.strategy, plans[k].strategy);
+                }
+            });
+        }
+    });
+    let resolved = service.resolve(keys[0].0, |_seed| (plans[0].clone(), false));
+    assert_eq!(resolved.served, Served::Cold, "the crashed key solves anew");
+    assert_eq!(resolved.plan.strategy, plans[0].strategy);
+    assert_eq!(service.len(), 4);
+}
+
 /// Two sessions sharing one service: the second session's first
 /// strategy is served from the store (no second solve) and is
 /// bit-identical to what the first session synthesized.
